@@ -33,6 +33,7 @@ from .decompose import (
 )
 from .errors import (
     CapExceededError,
+    CertificateError,
     ConnectivityError,
     DecompositionError,
     GraphError,

@@ -19,7 +19,7 @@ from .analysis import (
     analysis_report,
 )
 from .decompose import certificate_to_json, decompose_drawing
-from .errors import CapExceededError, TwoLayerError
+from .errors import CapExceededError, GraphError, TwoLayerError
 from .fuzz import ALL_CHECKS, FuzzConfig, report_to_json, run_fuzz
 from .graphs import (
     DEFAULT_GRID_SIDE_CAP,
@@ -48,10 +48,13 @@ from .pathdecomp import (
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: input is not UTF-8 text: {exc}") from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -172,6 +175,10 @@ def _cmd_check_pd(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.na_max < 0 or args.nb_max < 0:
+        return _usage("--na-max and --nb-max must be non-negative")
+    if args.p_min > args.p_max:
+        return _usage("--p-min must not exceed --p-max")
     checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
     config = FuzzConfig(
         trials=args.trials,
@@ -191,7 +198,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if args.format != "svg":
         return _usage("render only emits svg")
     text = _read(args.infile)
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"invalid JSON: {exc}") from None
     if isinstance(data, dict) and "bags" in data:
         svg = render.render_decomposition(decomposition_from_json(text))
     else:

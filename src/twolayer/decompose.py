@@ -27,7 +27,7 @@ from .analysis import (
     min_chain_cover,
     st_profile,
 )
-from .errors import GraphError
+from .errors import CertificateError, GraphError
 from .graphs import Edge, TwoLayerDrawing
 from .pathdecomp import PathDecomposition, validate_decomposition
 
@@ -179,7 +179,11 @@ def decompose_drawing(
     _, bags, tags = _build_bags(drawing, matching, gaps, cover)
     pd = PathDecomposition(tuple(bags))
     violations = validate_decomposition(drawing.graph, pd)
-    assert not violations, f"construction produced an invalid decomposition: {violations}"
+    if violations:
+        raise CertificateError(
+            "construction produced an invalid decomposition: "
+            + "; ".join(v.describe() for v in violations)
+        )
 
     frontier = st_profile(drawing, s_cap, t_cap, edge_cap)
     unachievable = minimal_unachievable(frontier)

@@ -21,6 +21,11 @@ class DecompositionError(TwoLayerError):
     """A path decomposition failed a structural requirement of an operation."""
 
 
+class CertificateError(TwoLayerError):
+    """A result failed the check that certifies it; the CLI maps this to
+    exit code 1."""
+
+
 class CapExceededError(TwoLayerError):
     """An input or search exceeded a configured size cap.
 

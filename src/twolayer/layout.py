@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .analysis import (
     CrossingWitness,
     DEFAULT_ST_EDGE_CAP,
-    edges_cross,
     max_crossing_set,
     st_crossing_exists,
 )
@@ -48,24 +47,32 @@ class LayoutCertificate:
     edge_cap: int
 
 
+def _induced_drawing(
+    graph: BipartiteGraph, pd: PathDecomposition
+) -> tuple[PathDecomposition, dict[str, int], TwoLayerDrawing]:
+    """The drawing a valid decomposition induces: normalize it to unique
+    introductions, then place each vertex at the index of its first bag.
+    Returns the normalized decomposition, the placement map and the drawing."""
+    violations = validate_decomposition(graph, pd)
+    if violations:
+        raise DecompositionError(
+            "invalid decomposition: " + "; ".join(v.describe() for v in violations)
+        )
+    normalized = normalize_unique_intro(pd)
+    ell = {v: lo for v, (lo, _) in intro_intervals(normalized).items()}
+    order_a = tuple(sorted(graph.a, key=lambda v: ell[v]))
+    order_b = tuple(sorted(graph.b, key=lambda v: ell[v]))
+    return normalized, ell, TwoLayerDrawing(graph, order_a, order_b)
+
+
 def layout_decomposition(
     graph: BipartiteGraph,
     pd: PathDecomposition,
     edge_cap: int = DEFAULT_ST_EDGE_CAP,
 ) -> tuple[TwoLayerDrawing, LayoutCertificate]:
     """Drawing from a valid decomposition, with measured crossing bounds."""
-    violations = validate_decomposition(graph, pd)
-    if violations:
-        raise DecompositionError(
-            "invalid decomposition: " + "; ".join(v.describe() for v in violations)
-        )
+    _, ell, drawing = _induced_drawing(graph, pd)
     k = pd.width
-    normalized = normalize_unique_intro(pd)
-    ell = {v: lo for v, (lo, _) in intro_intervals(normalized).items()}
-    order_a = tuple(sorted(graph.a, key=lambda v: ell[v]))
-    order_b = tuple(sorted(graph.b, key=lambda v: ell[v]))
-    drawing = TwoLayerDrawing(graph, order_a, order_b)
-
     measured, _ = max_crossing_set(drawing)
     st_witness = st_crossing_exists(drawing, k + 1, k + 1, edge_cap)
     cert = LayoutCertificate(
@@ -106,16 +113,7 @@ def explain_oversized_bag(
     The witness must re-verify in the drawing induced by pd (same placement
     rule as layout_decomposition); otherwise it is rejected.
     """
-    violations = validate_decomposition(graph, pd)
-    if violations:
-        raise DecompositionError(
-            "invalid decomposition: " + "; ".join(v.describe() for v in violations)
-        )
-    normalized = normalize_unique_intro(pd)
-    ell = {v: lo for v, (lo, _) in intro_intervals(normalized).items()}
-    order_a = tuple(sorted(graph.a, key=lambda v: ell[v]))
-    order_b = tuple(sorted(graph.b, key=lambda v: ell[v]))
-    drawing = TwoLayerDrawing(graph, order_a, order_b)
+    normalized, ell, drawing = _induced_drawing(graph, pd)
     if witness.kind != "k" or len(witness.edges) < 2 or not witness.verify(drawing):
         raise DecompositionError(
             "witness does not re-verify as a pairwise-crossing set in the "

@@ -222,3 +222,35 @@ def test_stdin_convention_in_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pathwidth"] == 1
+
+
+def test_render_malformed_json_is_exit_1(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bags": [')
+    code, _, err = run(capsys, "render", "--in", str(bad))
+    assert code == 1
+    assert err.startswith("error: invalid JSON")
+
+
+@pytest.mark.parametrize("command", ["render", "check-pd"])
+def test_non_utf8_input_is_exit_1(capsys, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"bags": [["\xff"]]}')
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(tl.graph_to_json(tl.BipartiteGraph(("u",), (), ())))
+    argv = [command, "--in", str(bad)]
+    if command == "check-pd":
+        argv += ["--graph", str(graph_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--na-max", "-1"), ("--nb-max", "-1"), ("--p-min", "0.8", "--p-max", "0.2")],
+)
+def test_fuzz_rejects_empty_ranges_as_usage_error(capsys, flags):
+    code, out, err = run(capsys, "fuzz", "--trials", "3", *flags)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")

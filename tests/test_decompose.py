@@ -176,3 +176,33 @@ def test_certificate_json_shape():
     assert payload["widthBound"] == 46
     assert payload["stFrontier"] == [[1, 3], [3, 1]]
     assert payload["frontierExact"] is True
+
+
+# ------------------------------------------------------- certified output
+
+def test_invalid_construction_raises_certificate_error(monkeypatch, tmp_path, capsys):
+    """The validity check on every emitted decomposition is a raise, not an
+    assert, so it also runs under `python -O` and maps to CLI exit 1."""
+    from twolayer import decompose
+    from twolayer.cli import main
+
+    real = decompose._build_bags
+
+    def drop_from_middle_bag(*args):
+        sets, bags, tags = real(*args)
+        bags = list(bags)
+        v = next(v for v in bags[1] if v in bags[0] and v in bags[2])
+        bags[1] = tuple(u for u in bags[1] if u != v)
+        return sets, bags, tags
+
+    monkeypatch.setattr(decompose, "_build_bags", drop_from_middle_bag)
+    drawing = tl.complete_binary_tree(3)[1]
+    with pytest.raises(tl.CertificateError, match="invalid decomposition"):
+        tl.decompose_drawing(drawing)
+
+    path = tmp_path / "tree3.json"
+    path.write_text(tl.drawing_to_json(drawing))
+    assert main(["decompose", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: construction produced an invalid")

@@ -1,6 +1,7 @@
 """Decomposition model, validation, exact pathwidth, normalization."""
 
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -73,6 +74,91 @@ def test_validate_rejects_foreign_vertex():
     g = BipartiteGraph(("u",), (), ())
     with pytest.raises(DecompositionError):
         tl.validate_decomposition(g, PathDecomposition((("u", "zz"),)))
+
+
+def naive_validate(graph, pd):
+    """Reference validator: rebuilds every bag as a set for every edge."""
+    vset = set(graph.vertices)
+    for i, bag in enumerate(pd.bags):
+        for v in bag:
+            if v not in vset:
+                raise DecompositionError(
+                    f"bag {i + 1} contains foreign vertex {v!r}"
+                )
+    out = []
+    where = {v: [] for v in vset}
+    for i, bag in enumerate(pd.bags):
+        for v in bag:
+            where[v].append(i + 1)
+    for v in graph.vertices:
+        idx = where[v]
+        if not idx:
+            out.append(tl.Violation("cover", vertex=v))
+            continue
+        if idx[-1] - idx[0] + 1 != len(idx):
+            gap = next(j for j in range(idx[0], idx[-1]) if j not in set(idx))
+            out.append(
+                tl.Violation("contiguity", vertex=v, indices=(idx[0], gap, idx[-1]))
+            )
+    for u, v in graph.edges:
+        if not any(u in bag and v in bag for bag in map(set, pd.bags)):
+            out.append(tl.Violation("edge", edge=(u, v)))
+    return tuple(out)
+
+
+def _random_case(rng):
+    """A graph of at most 6+6 vertices and a decomposition of up to 6 bags.
+    Every third case is a valid decomposition from a vertex order with
+    adjacent bags merged; the rest are random subsets, which leave vertices
+    uncovered, non-contiguous, or with split edges."""
+    na, nb = rng.randint(0, 6), rng.randint(0, 6)
+    a = tuple(f"a{i}" for i in range(na))
+    b = tuple(f"b{j}" for j in range(nb))
+    p = rng.random()
+    edges = tuple((u, v) for u in a for v in b if rng.random() < p)
+    g = BipartiteGraph(a, b, edges)
+    verts = list(g.vertices)
+    if verts and rng.randrange(3) == 0:
+        rng.shuffle(verts)
+        bags = list(tl.order_to_decomposition(g, verts).bags)
+        while len(bags) > 1 and rng.random() < 0.5:
+            i = rng.randrange(len(bags) - 1)
+            bags[i : i + 2] = [bags[i] + bags[i + 1]]
+    else:
+        q = rng.random()
+        bags = [
+            tuple(v for v in verts if rng.random() < q)
+            for _ in range(rng.randint(0, 6))
+        ]
+    return g, PathDecomposition(tuple(bags))
+
+
+def test_validate_matches_naive_oracle():
+    rng = random.Random(20220714)
+    kinds = {"cover": 0, "contiguity": 0, "edge": 0, "valid": 0}
+    for _ in range(3000):
+        g, pd = _random_case(rng)
+        got = tl.validate_decomposition(g, pd)
+        assert got == naive_validate(g, pd)
+        for v in got:
+            kinds[v.kind] += 1
+        kinds["valid"] += not got
+    assert all(count > 0 for count in kinds.values()), kinds
+
+
+def test_validate_foreign_vertex_matches_naive_oracle():
+    rng = random.Random(7)
+    for _ in range(300):
+        g, pd = _random_case(rng)
+        bags = [list(bag) for bag in pd.bags] or [[]]
+        for _ in range(rng.randint(1, 2)):
+            bags[rng.randrange(len(bags))].append(f"x{rng.randrange(3)}")
+        pd = PathDecomposition(tuple(tuple(bag) for bag in bags))
+        with pytest.raises(DecompositionError) as want:
+            naive_validate(g, pd)
+        with pytest.raises(DecompositionError, match="foreign") as got:
+            tl.validate_decomposition(g, pd)
+        assert str(got.value) == str(want.value)
 
 
 def test_intro_intervals():
