@@ -5,12 +5,11 @@ from .analysis import (
     ChainCover,
     CountingBoundReport,
     CrossingWitness,
-    EdgeCoord,
     analysis_report,
     brute_max_crossing_set,
     check_counting_bound,
+    crossed_runs,
     crossings_per_edge,
-    edge_coords,
     edges_cross,
     max_crossing_set,
     maximal_noncrossing_matching,

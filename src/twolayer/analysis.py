@@ -17,27 +17,12 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceededError, GraphError
+from .errors import CapExceededError, CertificateError, GraphError
 from .graphs import BipartiteGraph, Edge, TwoLayerDrawing
 
 DEFAULT_ST_EDGE_CAP = 5_000
 DEFAULT_BRUTE_EDGE_CAP = 20
 DEFAULT_PROFILE_CAP = 16
-
-
-@dataclass(frozen=True)
-class EdgeCoord:
-    """An edge together with the ranks of its endpoints on the two rails."""
-
-    edge: Edge
-    pos_a: int
-    pos_b: int
-
-
-def edge_coords(drawing: TwoLayerDrawing) -> tuple[EdgeCoord, ...]:
-    """Coordinates of every edge, in the graph's edge order."""
-    pa, pb = drawing.pos_a, drawing.pos_b
-    return tuple(EdgeCoord(e, pa[e[0]], pb[e[1]]) for e in drawing.graph.edges)
 
 
 def _coords_sorted(drawing: TwoLayerDrawing) -> list[tuple[int, int, Edge]]:
@@ -310,22 +295,39 @@ def maximal_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
         accepted.append(e)
         used.update(e)
         last_pb = pb
-    assert _is_maximal_matching(drawing, accepted), "sweep missed an addable edge"
+    for (u, v), (lo, hi) in crossed_runs(drawing, accepted).items():
+        if lo > hi and u not in used and v not in used:
+            raise CertificateError(f"sweep missed the addable edge {(u, v)!r}")
     return tuple(accepted)
 
 
-def _is_maximal_matching(
+def crossed_runs(
     drawing: TwoLayerDrawing, matching: Sequence[Edge]
-) -> bool:
-    used = {v for e in matching for v in e}
-    for e in drawing.graph.edges:
-        if e in matching:
-            continue
-        if e[0] in used or e[1] in used:
-            continue
-        if not any(edges_cross(drawing, e, f) for f in matching):
-            return False
-    return True
+) -> dict[Edge, tuple[int, int]]:
+    """For every edge, the 1-based run [lo, hi] of the matching edges it
+    crosses, empty when lo > hi.
+
+    The matching must rise strictly on both rails, which makes it a
+    non-crossing matching; otherwise CertificateError.  Then e_i crosses an
+    edge at ranks (a, b) iff a_i < a and b_i > b, or a_i > a and b_i < b:
+    two index intervals of the rising rank lists, at most one non-empty.
+    """
+    if not drawing.graph.edge_set.issuperset(matching):
+        raise CertificateError("the matching holds a non-edge")
+    pa, pb = drawing.pos_a, drawing.pos_b
+    a_ranks = [pa[u] for u, _ in matching]
+    b_ranks = [pb[v] for _, v in matching]
+    for i in range(1, len(matching)):
+        if a_ranks[i - 1] >= a_ranks[i] or b_ranks[i - 1] >= b_ranks[i]:
+            raise CertificateError(f"matching edge {i + 1} does not rise above edge {i}")
+    runs: dict[Edge, tuple[int, int]] = {}
+    for u, v in drawing.graph.edges:
+        a, b = pa[u], pb[v]
+        lo, hi = bisect.bisect_right(b_ranks, b) + 1, bisect.bisect_left(a_ranks, a)
+        if lo > hi:
+            lo, hi = bisect.bisect_right(a_ranks, a) + 1, bisect.bisect_left(b_ranks, b)
+        runs[(u, v)] = (lo, hi)
+    return runs
 
 
 def maximum_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:

@@ -175,11 +175,14 @@ def _cmd_check_pd(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.na_max < 0 or args.nb_max < 0:
-        return _usage("--na-max and --nb-max must be non-negative")
-    if args.p_min > args.p_max:
-        return _usage("--p-min must not exceed --p-max")
+    if min(args.trials, args.na_max, args.nb_max) < 0:
+        return _usage("--trials, --na-max and --nb-max must be non-negative")
+    if not 0.0 <= args.p_min <= args.p_max <= 1.0:
+        return _usage("--p-min and --p-max must satisfy 0 <= p-min <= p-max <= 1")
     checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
+    unknown = [c for c in (*checks, args.invert) if c not in (*ALL_CHECKS, None)]
+    if unknown:
+        return _usage(f"unknown checks: {', '.join(unknown)}")
     config = FuzzConfig(
         trials=args.trials,
         seed=args.seed,
@@ -195,8 +198,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    if args.format != "svg":
-        return _usage("render only emits svg")
     text = _read(args.infile)
     try:
         data = json.loads(text)
@@ -304,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     ren = sub.add_parser("render", help="SVG for a drawing or decomposition")
     ren.add_argument("--in", dest="infile", required=True)
     ren.add_argument("--out", default=None)
-    ren.add_argument("--format", choices=("json", "svg"), default="svg")
     ren.set_defaults(func=_cmd_render)
 
     return parser

@@ -22,7 +22,7 @@ from .analysis import (
     ChainCover,
     DEFAULT_PROFILE_CAP,
     DEFAULT_ST_EDGE_CAP,
-    edges_cross,
+    crossed_runs,
     maximal_noncrossing_matching,
     min_chain_cover,
     st_profile,
@@ -125,16 +125,18 @@ def _build_bags(
     n = len(matching)
     k = len(cover.chains)
     nplus = cover.closed_out_neighborhood
+    runs = crossed_runs(drawing, matching)
     v_sets: list[set[str]] = [set() for _ in range(n + 2)]
     for i, (x, y) in enumerate(matching, start=1):
-        n_i = set(nplus(x)) | set(nplus(y))
-        assert len(n_i) <= 2 * (k + 1), f"closed neighborhoods around edge {i} too big"
-        crossers = {
-            head
-            for f, (_tail, head) in cover.arcs.items()
-            if edges_cross(drawing, f, matching[i - 1])
-        }
-        v_sets[i] = n_i | crossers
+        v_sets[i] = set(nplus(x)) | set(nplus(y))
+        if len(v_sets[i]) > 2 * (k + 1):
+            raise CertificateError(f"closed neighborhoods around edge {i} too big")
+    for f, (_tail, head) in cover.arcs.items():
+        if f not in runs:
+            raise CertificateError(f"cover arc {f!r} is not an edge of the drawing")
+        lo, hi = runs[f]
+        for i in range(lo, hi + 1):
+            v_sets[i].add(head)
     bags: list[tuple[str, ...]] = []
     tags: list[BagTag] = []
     for i in range(n + 1):
@@ -168,13 +170,15 @@ def decompose_drawing(
 
     matched = {v for e in matching for v in e}
     gap_all = [v for ys in gaps for v in ys]
-    assert len(gap_all) == len(set(gap_all)) and set(gap_all) == (
+    if len(gap_all) != len(set(gap_all)) or set(gap_all) != (
         set(drawing.graph.vertices) - matched
-    ), "gap classes must partition the unmatched vertices"
+    ):
+        raise CertificateError("gap classes must partition the unmatched vertices")
     gap_index = {v: i for i, ys in enumerate(gaps) for v in ys}
     for u, v in drawing.graph.edges:
-        iu, iv = gap_index.get(u), gap_index.get(v)
-        assert iu is None or iu != iv, f"edge {u, v} inside gap class {iu}"
+        iu = gap_index.get(u)
+        if iu is not None and iu == gap_index.get(v):
+            raise CertificateError(f"edge {u, v} inside gap class {iu}")
 
     _, bags, tags = _build_bags(drawing, matching, gaps, cover)
     pd = PathDecomposition(tuple(bags))
@@ -213,7 +217,8 @@ def certificate_bags(
     """Rebuild the bag sequence from certificate components alone; must
     reproduce decompose_drawing's output exactly."""
     _, bags, tags = _build_bags(drawing, cert.matching, cert.gaps, cert.cover)
-    assert tuple(tags) == cert.per_bag
+    if tuple(tags) != cert.per_bag:
+        raise CertificateError("certificate per-bag tags do not match the rebuilt bags")
     return tuple(bags)
 
 
@@ -261,19 +266,12 @@ def audit_counting_bounds(
     v_sets, bags, tags = _build_bags(drawing, cert.matching, cert.gaps, cert.cover)
     violations: list[AuditViolation] = []
 
-    # Every arc's crossed matching edges form one contiguous index run.
+    crossed = crossed_runs(drawing, cert.matching)
     runs: list[tuple[str, int, int]] = []
     for f, (_tail, head) in cert.cover.arcs.items():
-        hit = [
-            i
-            for i in range(1, n + 1)
-            if edges_cross(drawing, f, cert.matching[i - 1])
-        ]
-        if hit:
-            assert hit == list(range(hit[0], hit[-1] + 1)), (
-                f"arc {f} crosses a non-contiguous set of matching edges"
-            )
-            runs.append((head, hit[0], hit[-1]))
+        lo, hi = crossed[f]
+        if lo <= hi:
+            runs.append((head, lo, hi))
 
     gap_index = {v: i for i, ys in enumerate(cert.gaps) for v in ys}
     yij: dict[tuple[int, int], set[str]] = {}

@@ -1,6 +1,7 @@
 """Crossing predicates, antichains/chains, matchings, (s,t) search, counting."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +176,75 @@ def test_maximal_matching_cannot_be_extended():
             if e in chosen:
                 continue
             assert not _is_noncrossing_matching(d, m + (e,))
+
+
+def test_maximal_matching_raises_when_the_sweep_misses_an_edge(monkeypatch):
+    """The maximality check is a raise, not an assert, so it also runs under
+    `python -O`."""
+    from twolayer import analysis
+
+    g = BipartiteGraph(("a1", "a2"), ("b1", "b2"), (("a1", "b1"), ("a2", "b2")))
+    d = TwoLayerDrawing(g, ("a1", "a2"), ("b1", "b2"))
+    full = analysis._coords_sorted(d)
+    monkeypatch.setattr(analysis, "_coords_sorted", lambda _d: full[:1])
+    with pytest.raises(tl.CertificateError, match="sweep missed"):
+        tl.maximal_noncrossing_matching(d)
+
+
+# ------------------------------------------------------ crossed matching runs
+
+def brute_crossed_runs(d, matching) -> dict:
+    """Reference: each edge's crossed matching indices (1-based), by checking
+    every (edge, matching edge) pair with edges_cross."""
+    return {
+        e: [i for i, f in enumerate(matching, start=1) if tl.edges_cross(d, e, f)]
+        for e in d.graph.edges
+    }
+
+
+def test_crossed_runs_match_brute_scan():
+    rng = random.Random(89)
+    kinds = {"maximal": 0, "maximum": 0, "subset": 0, "empty": 0}
+    isolated = 0
+    for n, d in enumerate(random_corpus(3000, seed=83, max_side=8)):
+        kind = tuple(kinds)[n % 4]
+        if kind == "maximal":
+            matching = tl.maximal_noncrossing_matching(d)
+        elif kind == "maximum":
+            matching = tl.maximum_noncrossing_matching(d)
+        elif kind == "subset":
+            matching = tuple(
+                e for e in tl.maximal_noncrossing_matching(d) if rng.random() < 0.5
+            )
+        else:
+            matching = ()
+        kinds[kind] += not matching
+        isolated += any(d.graph.degree(v) == 0 for v in d.graph.vertices)
+        runs = tl.crossed_runs(d, matching)
+        brute = brute_crossed_runs(d, matching)
+        assert list(runs) == list(d.graph.edges)
+        for e, (lo, hi) in runs.items():
+            assert list(range(lo, hi + 1)) == brute[e], (d, matching, e)
+    # every kind produced some empty matchings, and isolated vertices occurred
+    assert all(kinds.values()) and isolated > 100
+
+
+def test_crossed_runs_rejects_matchings_that_do_not_rise():
+    a, b = ("a1", "a2", "a3"), ("b1", "b2", "b3")
+    d = TwoLayerDrawing(BipartiteGraph(a, b, tuple(itertools.product(a, b))), a, b)
+    lo, hi = tl.crossed_runs(d, (("a1", "b1"), ("a3", "b3")))[("a2", "b2")]
+    assert lo > hi
+    assert tl.crossed_runs(d, (("a1", "b2"), ("a2", "b3")))[("a3", "b1")] == (1, 2)
+    for bad in (
+        (("a1", "b2"), ("a2", "b1")),  # crossing
+        (("a1", "b1"), ("a1", "b2")),  # shared A endpoint
+        (("a1", "b1"), ("a2", "b1")),  # shared B endpoint
+        (("a2", "b2"), ("a1", "b1")),  # non-crossing but out of order
+        (("a1", "zz"),),  # not an edge
+        (("b1", "a1"),),  # not in the graph's (A, B) orientation
+    ):
+        with pytest.raises(tl.CertificateError):
+            tl.crossed_runs(d, bad)
 
 
 def _brute_max_noncrossing_matching(d) -> int:

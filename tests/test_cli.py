@@ -248,9 +248,23 @@ def test_non_utf8_input_is_exit_1(capsys, tmp_path, command):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--na-max", "-1"), ("--nb-max", "-1"), ("--p-min", "0.8", "--p-max", "0.2")],
+    [
+        ("--na-max", "-1"),
+        ("--nb-max", "-1"),
+        ("--p-min", "0.8", "--p-max", "0.2"),
+        ("--trials", "-1"),
+        ("--p-min", "-1", "--p-max", "0.5"),
+        ("--p-min", "1.5", "--p-max", "2"),
+        ("--p-max", "2"),
+        ("--checks", "nosuch"),
+        ("--checks", "decompose,nosuch"),
+        ("--invert", "nosuch"),
+    ],
 )
 def test_fuzz_rejects_empty_ranges_as_usage_error(capsys, flags):
+    """Every fuzz argument-domain error is a usage error (exit 2); with
+    --p-max 2 alone the run could otherwise pass when no drawn p exceeds 1."""
     code, out, err = run(capsys, "fuzz", "--trials", "3", *flags)
     assert code == 2
     assert out == "" and err.startswith("error: ")
+

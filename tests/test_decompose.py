@@ -1,7 +1,10 @@
 """Drawing-to-decomposition construction, width bound, and audits."""
 
+import ast
+import dataclasses
 import itertools
 import json
+import pathlib
 
 import pytest
 
@@ -206,3 +209,80 @@ def test_invalid_construction_raises_certificate_error(monkeypatch, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: construction produced an invalid")
+
+
+def test_oversized_closed_neighborhood_raises(monkeypatch):
+    drawing = tl.complete_binary_tree(3)[1]
+    everyone = tuple(sorted(drawing.graph.vertices))
+    monkeypatch.setattr(
+        tl.ChainCover, "closed_out_neighborhood", lambda self, v: everyone
+    )
+    with pytest.raises(tl.CertificateError, match="closed neighborhoods"):
+        tl.decompose_drawing(drawing)
+
+
+def test_gap_classes_that_miss_a_vertex_raise(monkeypatch):
+    from twolayer import decompose
+
+    real = decompose._gap_classes
+
+    def drop_one(*args):
+        gaps = list(real(*args))
+        i = next(i for i, ys in enumerate(gaps) if ys)
+        gaps[i] = gaps[i][1:]
+        return tuple(gaps)
+
+    monkeypatch.setattr(decompose, "_gap_classes", drop_one)
+    with pytest.raises(tl.CertificateError, match="partition the unmatched"):
+        tl.decompose_drawing(tl.complete_binary_tree(3)[1])
+
+
+def test_edge_inside_a_gap_class_raises(monkeypatch):
+    """An empty matching leaves every vertex in gap 0, edges included."""
+    from twolayer import decompose
+
+    monkeypatch.setattr(decompose, "maximal_noncrossing_matching", lambda d: ())
+    with pytest.raises(tl.CertificateError, match="inside gap class 0"):
+        tl.decompose_drawing(tl.complete_binary_tree(3)[1])
+
+
+def test_certificate_bags_rejects_mismatched_tags(monkeypatch):
+    from twolayer import decompose
+
+    _, d = tl.complete_binary_tree(3)
+    _, cert = tl.decompose_drawing(d)
+    real = decompose._build_bags
+
+    def drop_last_tag(*args):
+        sets, bags, tags = real(*args)
+        return sets, bags, tags[:-1]
+
+    monkeypatch.setattr(decompose, "_build_bags", drop_last_tag)
+    with pytest.raises(tl.CertificateError, match="per-bag tags"):
+        tl.certificate_bags(d, cert)
+
+
+def test_certificate_with_crossing_matching_raises():
+    a, b = ("a1", "a2"), ("b1", "b2")
+    d = TwoLayerDrawing(BipartiteGraph(a, b, tuple(itertools.product(a, b))), a, b)
+    _, cert = tl.decompose_drawing(d)
+    bad = dataclasses.replace(cert, matching=(("a1", "b2"), ("a2", "b1")))
+    with pytest.raises(tl.CertificateError, match="does not rise"):
+        tl.audit_counting_bounds(d, bad)
+    with pytest.raises(tl.CertificateError, match="does not rise"):
+        tl.certificate_bags(d, bad)
+
+    foreign = tl.min_chain_cover(tl.random_drawing(3, 3, 1.0, 1)[1])
+    bad = dataclasses.replace(cert, cover=foreign)
+    with pytest.raises(tl.CertificateError, match="not an edge"):
+        tl.audit_counting_bounds(d, bad)
+    with pytest.raises(tl.CertificateError, match="not an edge"):
+        tl.certificate_bags(d, bad)
+
+
+def test_decompose_module_has_no_assert_statements():
+    """Invariants on the decompose path must survive `python -O`."""
+    from twolayer import decompose
+
+    tree = ast.parse(pathlib.Path(decompose.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
