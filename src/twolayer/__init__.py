@@ -6,7 +6,6 @@ from .analysis import (
     CountingBoundReport,
     CrossingWitness,
     analysis_report,
-    brute_max_crossing_set,
     check_counting_bound,
     crossed_runs,
     crossings_per_edge,
@@ -15,7 +14,6 @@ from .analysis import (
     maximal_noncrossing_matching,
     maximum_noncrossing_matching,
     min_chain_cover,
-    naive_st_crossing_exists,
     st_crossing_exists,
     st_profile,
 )
@@ -79,7 +77,6 @@ from .layout import (
 from .pathdecomp import (
     PathDecomposition,
     Violation,
-    brute_pathwidth,
     decomposition_from_json,
     decomposition_to_json,
     intro_intervals,

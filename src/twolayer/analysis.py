@@ -3,25 +3,23 @@
 Each edge reduces to the pair (posA, posB) of its endpoint ranks.  Under
 componentwise <= these pairs form a dominance order whose comparable pairs
 are exactly the non-crossing pairs, so pairwise-crossing sets are antichains
-and non-crossing sets are chains.  Everything in this module is either a
-patience-sorting sweep over that order or a brute-force counterpart small
-enough to serve as an oracle in tests.
+and non-crossing sets are chains.  Everything in this module is a
+patience-sorting sweep over that order.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, CertificateError, GraphError
-from .graphs import BipartiteGraph, Edge, TwoLayerDrawing
+from .graphs import Edge, TwoLayerDrawing
 
 DEFAULT_ST_EDGE_CAP = 5_000
-DEFAULT_BRUTE_EDGE_CAP = 20
 DEFAULT_PROFILE_CAP = 16
 
 
@@ -158,31 +156,6 @@ def max_crossing_set(drawing: TwoLayerDrawing) -> tuple[int, CrossingWitness]:
     k, idx = _lis_strict([-pb for _, pb, _ in coords])
     witness = CrossingWitness("k", edges=tuple(coords[i][2] for i in idx))
     return k, witness
-
-
-def brute_max_crossing_set(
-    drawing: TwoLayerDrawing, cap: int = DEFAULT_BRUTE_EDGE_CAP
-) -> int:
-    """Maximum pairwise-crossing subset size by subset enumeration (oracle)."""
-    coords = _coords_sorted(drawing)
-    m = len(coords)
-    if m > cap:
-        raise CapExceededError(f"{m} edges exceeds brute-force cap {cap}")
-    masks = [0] * m
-    for i, j in combinations(range(m), 2):
-        if (coords[i][0] - coords[j][0]) * (coords[i][1] - coords[j][1]) < 0:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    best = 0
-    ok = bytearray(1 << m)
-    ok[0] = 1
-    for s in range(1, 1 << m):
-        low = s & -s
-        rest = s ^ low
-        if ok[rest] and masks[low.bit_length() - 1] & rest == rest:
-            ok[s] = 1
-            best = max(best, s.bit_count())
-    return best
 
 
 # ===================================================================
@@ -337,13 +310,14 @@ def maximum_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
     sort by (posA asc, posB desc) and take a strict LIS of posB.  The
     descending tie order blocks picking two edges off one A-vertex.
     """
-    pa, pb = drawing.pos_a, drawing.pos_b
-    items = sorted(
-        ((pa[u], pb[v], (u, v)) for u, v in drawing.graph.edges),
-        key=lambda c: (c[0], -c[1]),
-    )
-    _, idx = _lis_strict([c[1] for c in items])
-    return tuple(items[i][2] for i in idx)
+    return _rising_chain(_coords_sorted(drawing))
+
+
+def _rising_chain(items: Iterable[tuple[int, int, Edge]]) -> tuple[Edge, ...]:
+    """Edges of a longest strictly rising run of (posA, posB, edge) items."""
+    ordered = sorted(items, key=lambda c: (c[0], -c[1]))
+    _, idx = _lis_strict([c[1] for c in ordered])
+    return tuple(ordered[i][2] for i in idx)
 
 
 # ===================================================================
@@ -358,53 +332,95 @@ def maximum_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
 # suffices to scan all (p, q) splits and measure the largest strictly
 # increasing matchings inside the two quadrants — any pair of such matchings
 # from opposite quadrants crosses completely, pair by pair.
+#
+# Only ranks that carry an edge open a split: the quadrants of (p, q) hold
+# the same edges as those of (p', q'), where p' (q') is the largest A-rank
+# (B-rank) of an edge that is <= p (<= q), or 0.  So the scan visits those
+# ranks plus 0, at most (m+1)^2 splits, and its first split in row-major
+# order that reaches a pair is also the first real one.
 
-def _quadrant_tables(
-    drawing: TwoLayerDrawing,
-) -> tuple[list[list[int]], list[list[int]]]:
-    """tl[p][q] / br[p][q]: max strictly-increasing matching size among edges
-    with posA <= p, posB > q (resp. posA > p, posB <= q)."""
-    na, nb = len(drawing.order_a), len(drawing.order_b)
+def _rising_table(
+    points: list[tuple[int, int]], nx: int, ny: int, cap: int
+) -> list[int]:
+    """Row-major (nx+1) x (ny+1) table whose cell (p, q) is the size, capped
+    at cap, of a largest strictly increasing matching among points with
+    x <= p, y > q.  Patience piles past the cap never affect earlier ones,
+    so they are not kept."""
+    rows: list[list[int]] = [[] for _ in range(nx + 1)]
+    for x, y in sorted(points, key=lambda c: -c[1]):
+        rows[x].append(y)
+    width = ny + 1
+    table = [0] * ((nx + 1) * width)
+    for q in range(width):
+        tails: list[int] = []
+        for p in range(1, nx + 1):
+            for y in rows[p]:  # descending
+                if y <= q:
+                    break
+                d = bisect.bisect_left(tails, y)
+                if d < len(tails):
+                    tails[d] = y
+                elif d < cap:
+                    tails.append(y)
+            table[p * width + q] = len(tails)
+    return table
+
+
+def _st_splits(
+    drawing: TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap: int
+) -> dict[tuple[int, int], tuple[int, int, bool]]:
+    """{capped (s,t) pair: first split (p, q, swapped) in row-major order
+    that realizes it}.  With a and b the largest strictly increasing
+    matchings in the quadrants posA <= p, posB > q and posA > p, posB <= q,
+    a split realizes (min(a, s_cap), min(b, t_cap)), with S in the first
+    quadrant, and swapped (min(b, s_cap), min(a, t_cap)), with S in the
+    second, if a, b >= 1."""
+    if s_cap < 1 or t_cap < 1:
+        raise GraphError("s, t and their caps must be >= 1")
+    edges = drawing.graph.edges
+    m = len(edges)
+    if m > edge_cap:
+        raise CapExceededError(f"{m} edges exceeds (s,t) search cap {edge_cap}")
     pa, pb = drawing.pos_a, drawing.pos_b
-    pts = [(pa[u], pb[v]) for u, v in drawing.graph.edges]
-
-    def table(points: list[tuple[int, int]], nx: int, ny: int) -> list[list[int]]:
-        buckets: list[list[int]] = [[] for _ in range(nx + 1)]
-        for x, y in points:
-            buckets[x].append(y)
-        for bucket in buckets:
-            bucket.sort(reverse=True)
-        t = [[0] * (ny + 1) for _ in range(nx + 1)]
-        for q in range(ny + 1):
-            tails: list[int] = []
-            for p in range(1, nx + 1):
-                for y in buckets[p]:
-                    if y <= q:
-                        continue
-                    d = bisect.bisect_left(tails, y)
-                    if d == len(tails):
-                        tails.append(y)
-                    else:
-                        tails[d] = y
-                t[p][q] = len(tails)
-        return t
-
-    tl = table(pts, na, nb)
-    mirrored = table([(na + 1 - x, nb + 1 - y) for x, y in pts], na, nb)
-    br = [[mirrored[na - p][nb - q] for q in range(nb + 1)] for p in range(na + 1)]
-    return tl, br
-
-
-def _quadrant_chain(
-    drawing: TwoLayerDrawing, keep: Callable[[int, int], bool], size: int
-) -> tuple[Edge, ...]:
-    items = [
-        (pa, pb, e) for pa, pb, e in _coords_sorted(drawing) if keep(pa, pb)
+    xs = sorted({0, *(pa[u] for u, _ in edges)})
+    ys = sorted({0, *(pb[v] for _, v in edges)})
+    nx, ny = len(xs) - 1, len(ys) - 1
+    pts = [
+        (bisect.bisect_left(xs, pa[u]), bisect.bisect_left(ys, pb[v]))
+        for u, v in edges
     ]
-    items.sort(key=lambda c: (c[0], -c[1]))
-    _, idx = _lis_strict([c[1] for c in items])
-    assert len(idx) >= size
-    return tuple(items[i][2] for i in idx[:size])
+    # a and b matter only up to the larger cap.  The second quadrant of
+    # cell c is the first quadrant of the mirrored points at the opposite
+    # cell, len(tl) - 1 - c.
+    cap = max(s_cap, t_cap)
+    tl = _rising_table(pts, nx, ny, cap)
+    mirrored = [(nx + 1 - x, ny + 1 - y) for x, y in pts]
+    br = reversed(_rising_table(mirrored, nx, ny, cap))
+    splits: dict[tuple[int, int], tuple[int, int, bool]] = {}
+    last_a = last_b = 0
+    for c, (a, b) in enumerate(zip(tl, br)):
+        if not a or not b or (a == last_a and b == last_b):
+            continue  # a repeated split realizes nothing new
+        last_a, last_b = a, b
+        p, q = xs[c // (ny + 1)], ys[c % (ny + 1)]
+        splits.setdefault((min(a, s_cap), min(b, t_cap)), (p, q, False))
+        splits.setdefault((min(b, s_cap), min(a, t_cap)), (p, q, True))
+    return splits
+
+
+def _st_witness(
+    drawing: TwoLayerDrawing, split: tuple[int, int, bool], s: int, t: int
+) -> CrossingWitness:
+    """S and T from the two quadrants of a split; S comes from the quadrant
+    posA <= p, posB > q unless the split is swapped."""
+    p, q, swapped = split
+    coords = _coords_sorted(drawing)
+    upper = _rising_chain(c for c in coords if c[0] <= p and c[1] > q)
+    lower = _rising_chain(c for c in coords if c[0] > p and c[1] <= q)
+    s_side, t_side = (lower, upper) if swapped else (upper, lower)
+    if len(s_side) < s or len(t_side) < t:
+        raise CertificateError(f"split {split} holds no ({s},{t})-crossing")
+    return CrossingWitness("st", s_edges=s_side[:s], t_edges=t_side[:t])
 
 
 def st_crossing_exists(
@@ -415,40 +431,18 @@ def st_crossing_exists(
 ) -> CrossingWitness | None:
     """Witness for non-crossing matchings S, T (|S|=s, |T|=t) with every
     S-edge crossing every T-edge, or None if no such pair exists."""
-    if s < 1 or t < 1:
-        raise GraphError("s and t must be >= 1")
-    m = len(drawing.graph.edges)
-    if m > edge_cap:
-        raise CapExceededError(f"{m} edges exceeds (s,t) search cap {edge_cap}")
-    if m < s + t:
-        return None
-    na, nb = len(drawing.order_a), len(drawing.order_b)
-    tl, br = _quadrant_tables(drawing)
-    for p in range(na + 1):
-        for q in range(nb + 1):
-            a, b = tl[p][q], br[p][q]
-            if a >= s and b >= t:
-                s_set = _quadrant_chain(drawing, lambda x, y: x <= p and y > q, s)
-                t_set = _quadrant_chain(drawing, lambda x, y: x > p and y <= q, t)
-                return CrossingWitness("st", s_edges=s_set, t_edges=t_set)
-            if a >= t and b >= s:
-                s_set = _quadrant_chain(drawing, lambda x, y: x > p and y <= q, s)
-                t_set = _quadrant_chain(drawing, lambda x, y: x <= p and y > q, t)
-                return CrossingWitness("st", s_edges=s_set, t_edges=t_set)
-    return None
+    split = _st_splits(drawing, s, t, edge_cap).get((s, t))
+    return None if split is None else _st_witness(drawing, split, s, t)
 
 
 def _pareto_max(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    pts = set(pairs)
-    return tuple(
-        sorted(
-            p
-            for p in pts
-            if not any(
-                q != p and q[0] >= p[0] and q[1] >= p[1] for q in pts
-            )
-        )
-    )
+    """The pairs no other pair dominates, ascending: walking down from the
+    largest pair, a pair is kept iff its t beats every t seen so far."""
+    front: list[tuple[int, int]] = []
+    for s, t in sorted(pairs, reverse=True):
+        if not front or t > front[-1][1]:
+            front.append((s, t))
+    return tuple(reversed(front))
 
 
 def st_profile(
@@ -462,40 +456,7 @@ def st_profile(
     Monotone by construction: any pair dominated by a frontier point is
     achievable by taking subsets of the frontier witness.
     """
-    if s_cap < 1 or t_cap < 1:
-        raise GraphError("caps must be >= 1")
-    m = len(drawing.graph.edges)
-    if m > edge_cap:
-        raise CapExceededError(f"{m} edges exceeds (s,t) search cap {edge_cap}")
-    tl, br = _quadrant_tables(drawing)
-    pairs: set[tuple[int, int]] = set()
-    for row_tl, row_br in zip(tl, br):
-        for a, b in zip(row_tl, row_br):
-            if a >= 1 and b >= 1:
-                pairs.add((min(a, s_cap), min(b, t_cap)))
-                pairs.add((min(b, s_cap), min(a, t_cap)))
-    return _pareto_max(pairs)
-
-
-def naive_st_crossing_exists(
-    drawing: TwoLayerDrawing, s: int, t: int, cap: int = 10
-) -> bool:
-    """Subset-enumeration oracle for st_crossing_exists (tests only)."""
-    edges = drawing.graph.edges
-    if len(edges) > cap:
-        raise CapExceededError(f"{len(edges)} edges exceeds naive cap {cap}")
-    for s_set in combinations(edges, s):
-        if not _is_noncrossing_matching(drawing, s_set):
-            continue
-        rest = [e for e in edges if e not in s_set]
-        for t_set in combinations(rest, t):
-            if not _is_noncrossing_matching(drawing, t_set):
-                continue
-            if all(
-                edges_cross(drawing, e, f) for e in s_set for f in t_set
-            ):
-                return True
-    return False
+    return _pareto_max(_st_splits(drawing, s_cap, t_cap, edge_cap))
 
 
 # ===================================================================
@@ -569,11 +530,13 @@ def analysis_report(
     frontier, and re-verifiable witnesses for each."""
     k, kw = max_crossing_set(drawing)
     per_edge = crossings_per_edge(drawing)
-    frontier = st_profile(drawing, s_cap, t_cap, edge_cap)
+    splits = _st_splits(drawing, s_cap, t_cap, edge_cap)
+    frontier = _pareto_max(splits)
     st_witnesses = []
     for s, t in frontier:
-        w = st_crossing_exists(drawing, s, t, edge_cap)
-        assert w is not None  # frontier points are achievable by construction
+        # A frontier point is Pareto-maximal, so its first split here is the
+        # first one with a, b >= s, t (or swapped): st_crossing_exists's.
+        w = _st_witness(drawing, splits[(s, t)], s, t)
         st_witnesses.append(
             {
                 "s": s,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import render
 from .analysis import (
@@ -70,6 +71,19 @@ def _write(path: str | None, text: str) -> None:
 def _usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _int_from(low: int) -> Callable[[str], int]:
+    """argparse type for an int >= low; a smaller value is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type
+    return parse
 
 
 # ===================================================================
@@ -242,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (tree, grid, star, rand):
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "svg"), default="json")
-        p.add_argument("--cap-n", type=int, default=None, dest="cap_n")
+        p.add_argument("--cap-n", type=_int_from(0), default=None, dest="cap_n")
         p.set_defaults(func=_cmd_gen)
 
     analyze = sub.add_parser("analyze", help="crossing analytics for a drawing")
     analyze.add_argument("--in", dest="infile", required=True)
     analyze.add_argument("--out", default=None)
-    analyze.add_argument("--cap-st", type=int, default=DEFAULT_PROFILE_CAP)
-    analyze.add_argument("--cap-edges", type=int, default=DEFAULT_ST_EDGE_CAP)
+    analyze.add_argument("--cap-st", type=_int_from(1), default=DEFAULT_PROFILE_CAP)
+    analyze.add_argument("--cap-edges", type=_int_from(0), default=DEFAULT_ST_EDGE_CAP)
     analyze.set_defaults(func=_cmd_analyze)
 
     dec = sub.add_parser(
@@ -258,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--in", dest="infile", required=True)
     dec.add_argument("--out", default=None)
     dec.add_argument("--cert", default=None, help="also write the certificate")
-    dec.add_argument("--cap-st", type=int, default=DEFAULT_PROFILE_CAP)
-    dec.add_argument("--cap-edges", type=int, default=DEFAULT_ST_EDGE_CAP)
+    dec.add_argument("--cap-st", type=_int_from(1), default=DEFAULT_PROFILE_CAP)
+    dec.add_argument("--cap-edges", type=_int_from(0), default=DEFAULT_ST_EDGE_CAP)
     dec.set_defaults(func=_cmd_decompose)
 
     lay = sub.add_parser(
@@ -269,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     lay.add_argument("--graph", required=True)
     lay.add_argument("--out", default=None)
     lay.add_argument("--cert", default=None, help="also write the certificate")
-    lay.add_argument("--cap-edges", type=int, default=DEFAULT_ST_EDGE_CAP)
+    lay.add_argument("--cap-edges", type=_int_from(0), default=DEFAULT_ST_EDGE_CAP)
     lay.set_defaults(func=_cmd_layout)
 
     pw = sub.add_parser("pathwidth", help="exact pathwidth of a small graph")
     pw.add_argument("--in", dest="infile", required=True)
     pw.add_argument("--out", default=None)
-    pw.add_argument("--cap-n", type=int, default=DEFAULT_PATHWIDTH_CAP)
+    pw.add_argument("--cap-n", type=_int_from(0), default=DEFAULT_PATHWIDTH_CAP)
     pw.set_defaults(func=_cmd_pathwidth)
 
     chk = sub.add_parser("check-pd", help="validate a path decomposition")

@@ -19,7 +19,7 @@ from .analysis import (
     max_crossing_set,
     st_crossing_exists,
 )
-from .errors import DecompositionError
+from .errors import CertificateError, DecompositionError
 from .graphs import BipartiteGraph, TwoLayerDrawing
 from .pathdecomp import (
     PathDecomposition,
@@ -124,13 +124,14 @@ def explain_oversized_bag(
         (min(ell[u], ell[v]), max(ell[u], ell[v])) for u, v in witness.edges
     )
     p = max(lo for lo, _ in intervals)
-    assert p <= min(hi for _, hi in intervals), (
-        "crossing edges must have overlapping first-bag intervals"
-    )
+    if p > min(hi for _, hi in intervals):
+        raise CertificateError("crossing edges' first-bag intervals do not overlap")
     bag = normalized.bags[p - 1]
     for u, v in witness.edges:
-        assert u in bag or v in bag, f"bag {p} misses edge {(u, v)}"
-    assert len(bag) >= len(witness.edges)
+        if u not in bag and v not in bag:
+            raise CertificateError(f"bag {p} misses edge {(u, v)}")
+    if len(bag) < len(witness.edges):
+        raise CertificateError(f"bag {p} is smaller than the witness")
     return BagContradiction(
         p=p,
         bag=bag,

@@ -224,33 +224,6 @@ def order_to_decomposition(
     return PathDecomposition(tuple(bags))
 
 
-def brute_pathwidth(graph: BipartiteGraph, cap: int = 8) -> int:
-    """Minimum separation cost over every vertex ordering (test oracle)."""
-    from itertools import permutations
-
-    verts = graph.vertices
-    if not verts:
-        raise GraphError("pathwidth is undefined for the empty graph")
-    if len(verts) > cap:
-        raise CapExceededError(f"{len(verts)} vertices exceeds brute cap {cap}")
-    best = len(verts)
-    for perm in permutations(verts):
-        worst = 0
-        placed: set[str] = set()
-        for v in perm:
-            placed.add(v)
-            b = sum(
-                1
-                for u in placed
-                if any(w not in placed for w in graph.neighbors[u])
-            )
-            worst = max(worst, b)
-            if worst >= best:
-                break
-        best = min(best, worst)
-    return best
-
-
 # ===================================================================
 # unique-introduction normalization
 # ===================================================================

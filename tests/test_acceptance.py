@@ -13,6 +13,8 @@ import pytest
 
 import twolayer as tl
 
+from oracles import brute_max_crossing_set
+
 
 def _verdict(num, label, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
@@ -232,7 +234,7 @@ def test_acceptance_07_chain_cover_duality():
         if len(d.graph.edges) > 12:
             continue
         done += 1
-        if len(tl.min_chain_cover(d).chains) != tl.brute_max_crossing_set(d):
+        if len(tl.min_chain_cover(d).chains) != brute_max_crossing_set(d):
             failures += 1
     _verdict(
         7,

@@ -1,5 +1,6 @@
 """Crossing predicates, antichains/chains, matchings, (s,t) search, counting."""
 
+import bisect
 import itertools
 import random
 
@@ -10,6 +11,7 @@ import twolayer as tl
 from twolayer import BipartiteGraph, CapExceededError, GraphError, TwoLayerDrawing
 
 from conftest import crossing_pairs, drawings, random_corpus
+from oracles import brute_max_crossing_set, naive_st_crossing_exists
 
 
 def _drawing(edges, order_a, order_b):
@@ -70,7 +72,7 @@ def test_crossings_per_edge_fan():
 def test_max_crossing_set_matches_brute_force():
     for d in random_corpus(50, seed=11, max_side=6, max_edges=12):
         k, witness = tl.max_crossing_set(d)
-        assert k == tl.brute_max_crossing_set(d)
+        assert k == brute_max_crossing_set(d)
         assert len(witness.edges) == k
         assert witness.verify(d)
 
@@ -84,7 +86,7 @@ def test_max_crossing_set_empty_drawing():
 def test_brute_max_crossing_set_cap():
     _, d = tl.random_drawing(6, 6, 1.0, 1)
     with pytest.raises(CapExceededError):
-        tl.brute_max_crossing_set(d)
+        brute_max_crossing_set(d)
 
 
 def test_witness_verify_rejects_tampering():
@@ -120,7 +122,7 @@ def test_min_chain_cover_partitions_into_noncrossing_chains():
 def test_min_chain_cover_size_is_dilworth_dual():
     for d in random_corpus(60, seed=17, max_side=6, max_edges=12):
         cover = tl.min_chain_cover(d)
-        assert len(cover.chains) == tl.brute_max_crossing_set(d)
+        assert len(cover.chains) == brute_max_crossing_set(d)
 
 
 def test_chain_orientation_bounds_out_neighbourhoods():
@@ -313,7 +315,7 @@ def test_st_crossing_agrees_with_naive_search():
         for s in range(1, 4):
             for t in range(1, 4):
                 fast = tl.st_crossing_exists(d, s, t)
-                assert (fast is not None) == tl.naive_st_crossing_exists(d, s, t)
+                assert (fast is not None) == naive_st_crossing_exists(d, s, t)
                 if fast is not None:
                     assert fast.verify(d)
                     assert len(fast.s_edges) == s and len(fast.t_edges) == t
@@ -323,10 +325,20 @@ def test_st_profile_is_pareto_maximal_and_achievable():
     for d in random_corpus(60, seed=43, max_side=5, max_edges=10):
         profile = tl.st_profile(d, s_cap=4, t_cap=4)
         for s, t in profile:
-            assert tl.naive_st_crossing_exists(d, s, t)
+            assert naive_st_crossing_exists(d, s, t)
         for p, q in itertools.combinations(profile, 2):
             assert not (p[0] <= q[0] and p[1] <= q[1])
             assert not (q[0] <= p[0] and q[1] <= p[1])
+
+
+def test_split_witness_raises_when_a_quadrant_is_too_small():
+    """The quadrant size check is a raise, not an assert, so it also runs
+    under `python -O`."""
+    from twolayer import analysis
+
+    d, _, _ = _parallel_bundles()
+    with pytest.raises(tl.CertificateError, match="holds no"):
+        analysis._st_witness(d, (0, 0, False), 1, 1)
 
 
 def test_st_profile_respects_caps():
@@ -340,6 +352,153 @@ def test_st_profile_points_exist_property(d):
     for s, t in tl.st_profile(d, s_cap=3, t_cap=3):
         w = tl.st_crossing_exists(d, s, t)
         assert w is not None and w.verify(d)
+
+
+# ------------------------------------------- (s,t) search: full-grid reference
+#
+# The split scan as it was before it ran over compressed ranks: tables over
+# every rank 0..na x 0..nb, and the row-major witness loop over them.
+
+def ref_quadrant_tables(d):
+    """tl[p][q] / br[p][q]: max strictly-increasing matching size among edges
+    with posA <= p, posB > q (resp. posA > p, posB <= q)."""
+    na, nb = len(d.order_a), len(d.order_b)
+    pa, pb = d.pos_a, d.pos_b
+    pts = [(pa[u], pb[v]) for u, v in d.graph.edges]
+
+    def table(points):
+        buckets = [[] for _ in range(na + 1)]
+        for x, y in points:
+            buckets[x].append(y)
+        for bucket in buckets:
+            bucket.sort(reverse=True)
+        t = [[0] * (nb + 1) for _ in range(na + 1)]
+        for q in range(nb + 1):
+            tails = []
+            for p in range(1, na + 1):
+                for y in buckets[p]:
+                    if y <= q:
+                        continue
+                    i = bisect.bisect_left(tails, y)
+                    if i == len(tails):
+                        tails.append(y)
+                    else:
+                        tails[i] = y
+                t[p][q] = len(tails)
+        return t
+
+    top = table(pts)
+    mirrored = table([(na + 1 - x, nb + 1 - y) for x, y in pts])
+    br = [[mirrored[na - p][nb - q] for q in range(nb + 1)] for p in range(na + 1)]
+    return top, br
+
+
+def ref_quadrant_chain(d, keep, size):
+    from twolayer import analysis
+
+    items = [(x, y, e) for x, y, e in analysis._coords_sorted(d) if keep(x, y)]
+    items.sort(key=lambda c: (c[0], -c[1]))
+    _, idx = analysis._lis_strict([c[1] for c in items])
+    assert len(idx) >= size
+    return tuple(items[i][2] for i in idx[:size])
+
+
+def ref_st_crossing_exists(d, tables, s, t):
+    if len(d.graph.edges) < s + t:
+        return None
+    top, br = tables
+    for p in range(len(top)):
+        for q in range(len(top[0])):
+            a, b = top[p][q], br[p][q]
+            if a >= s and b >= t:
+                s_set = ref_quadrant_chain(d, lambda x, y: x <= p and y > q, s)
+                t_set = ref_quadrant_chain(d, lambda x, y: x > p and y <= q, t)
+                return tl.CrossingWitness("st", s_edges=s_set, t_edges=t_set)
+            if a >= t and b >= s:
+                s_set = ref_quadrant_chain(d, lambda x, y: x > p and y <= q, s)
+                t_set = ref_quadrant_chain(d, lambda x, y: x <= p and y > q, t)
+                return tl.CrossingWitness("st", s_edges=s_set, t_edges=t_set)
+    return None
+
+
+def ref_st_profile(tables, s_cap, t_cap):
+    pairs = set()
+    for row_tl, row_br in zip(*tables):
+        for a, b in zip(row_tl, row_br):
+            if a >= 1 and b >= 1:
+                pairs.add((min(a, s_cap), min(b, t_cap)))
+                pairs.add((min(b, s_cap), min(a, t_cap)))
+    return tuple(
+        sorted(
+            p for p in pairs
+            if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pairs)
+        )
+    )
+
+
+def ref_analysis_report(d, tables, s_cap, t_cap):
+    k, kw = tl.max_crossing_set(d)
+    frontier = ref_st_profile(tables, s_cap, t_cap)
+    st = []
+    for s, t in frontier:
+        w = ref_st_crossing_exists(d, tables, s, t)
+        st.append(
+            {
+                "s": s,
+                "t": t,
+                "S": [list(e) for e in w.s_edges],
+                "T": [list(e) for e in w.t_edges],
+            }
+        )
+    return {
+        "k": k,
+        "perEdgeMax": max(tl.crossings_per_edge(d).values(), default=0),
+        "stFrontier": [[s, t] for s, t in frontier],
+        "witnesses": {"maxCrossing": [list(e) for e in kw.edges], "st": st},
+    }
+
+
+def _long_rail_corpus(count, seed):
+    """Random drawings whose rails are both longer than their edge count, so
+    every drawing has ranks that carry no edge; the first one has no vertices."""
+    rng = random.Random(seed)
+    out = [TwoLayerDrawing(BipartiteGraph((), (), ()), (), ())]
+    while len(out) < count:
+        m = rng.randint(0, 8)
+        a = [f"a{i}" for i in range(rng.randint(m + 1, m + 4))]
+        b = [f"b{j}" for j in range(rng.randint(m + 1, m + 4))]
+        edges = tuple(sorted(rng.sample(list(itertools.product(a, b)), m)))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        g = BipartiteGraph(tuple(sorted(a)), tuple(sorted(b)), edges)
+        out.append(TwoLayerDrawing(g, tuple(a), tuple(b)))
+    return out
+
+
+def test_st_search_matches_full_grid_reference():
+    """st_profile, every st_crossing_exists(s, t) witness with s, t <= 4 and
+    analysis_report equal the uncompressed scan's, edge for edge."""
+    edgeless = no_vertices = with_edges = 0
+    for d in _long_rail_corpus(2000, seed=97):
+        ranks = len(d.order_a) + len(d.order_b)
+        carried = len({x for e in d.graph.edges for x in e})
+        edgeless += not d.graph.edges
+        no_vertices += not ranks
+        with_edges += bool(d.graph.edges) and carried < ranks
+        tables = ref_quadrant_tables(d)
+        assert tl.st_profile(d) == ref_st_profile(tables, 16, 16), d
+        assert tl.st_profile(d, s_cap=2, t_cap=3) == ref_st_profile(tables, 2, 3), d
+        for s in range(1, 5):
+            for t in range(1, 5):
+                got = tl.st_crossing_exists(d, s, t)
+                assert got == ref_st_crossing_exists(d, tables, s, t), (d, s, t)
+        for s_cap, t_cap in ((16, 16), (3, 2)):
+            assert tl.analysis_report(d, s_cap, t_cap) == ref_analysis_report(
+                d, tables, s_cap, t_cap
+            ), (d, s_cap, t_cap)
+    # drawings with edges and edgeless ranks, edgeless drawings and one
+    # drawing without vertices all occur
+    assert with_edges > 1500 and edgeless > 100 and no_vertices == 1
 
 
 # ---------------------------------------------------------- counting bound

@@ -192,6 +192,28 @@ def test_fuzz_check_selection(capsys):
 
 # ------------------------------------------------------------- error paths
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--cap-st", "0"),
+        ("decompose", "--cap-st", "0"),
+        ("analyze", "--cap-edges", "-1"),
+        ("decompose", "--cap-edges", "-1"),
+        ("layout", "--graph", "g.json", "--cap-edges", "-1"),
+        ("pathwidth", "--cap-n", "-1"),
+        ("gen", "tree", "--height", "2", "--cap-n", "-1"),
+    ],
+)
+def test_out_of_domain_caps_are_usage_errors(capsys, tree_drawing_file, argv):
+    """--cap-st below 1 and --cap-edges/--cap-n below 0 are usage errors,
+    reported before any input is read."""
+    if argv[0] != "gen":
+        argv = (*argv, "--in", str(tree_drawing_file))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "error: argument --cap-" in err and "must be >=" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "--in", "/nonexistent/x.json")
     assert code == 2

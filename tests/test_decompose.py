@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import itertools
 import json
 import pathlib
@@ -280,9 +281,10 @@ def test_certificate_with_crossing_matching_raises():
         tl.certificate_bags(d, bad)
 
 
-def test_decompose_module_has_no_assert_statements():
-    """Invariants on the decompose path must survive `python -O`."""
-    from twolayer import decompose
-
-    tree = ast.parse(pathlib.Path(decompose.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize("module", ["analysis", "decompose", "layout"])
+def test_decompose_module_has_no_assert_statements(module):
+    """Invariants on the decompose path and the analysis and layout checks
+    it relies on must survive `python -O`."""
+    path = pathlib.Path(importlib.import_module(f"twolayer.{module}").__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

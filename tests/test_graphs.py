@@ -17,6 +17,7 @@ from twolayer import (
 )
 
 from conftest import caterpillar_graphs, crossing_pairs, drawings
+from oracles import brute_max_crossing_set
 
 
 # ---------------------------------------------------------------- model
@@ -214,7 +215,7 @@ def test_tree_max_crossing_values():
         g, d = tl.complete_binary_tree(h)
         assert tl.max_crossing_set(d)[0] == expect
         if len(g.edges) <= 20:
-            assert tl.brute_max_crossing_set(d) == expect
+            assert brute_max_crossing_set(d) == expect
 
 
 def test_grid_generator_structure():
@@ -233,7 +234,7 @@ def test_grid_max_crossing_values():
         _, d = tl.grid_graph(h)
         assert tl.max_crossing_set(d)[0] == expect
         if len(d.graph.edges) <= 20:
-            assert tl.brute_max_crossing_set(d) == expect
+            assert brute_max_crossing_set(d) == expect
 
 
 def test_subdivided_star_structure():

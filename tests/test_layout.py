@@ -137,6 +137,31 @@ def test_explain_rejects_invalid_decomposition():
         tl.explain_oversized_bag(g, PathDecomposition((("a1",),)), witness)
 
 
+def test_explain_bag_checks_raise_certificate_error(monkeypatch):
+    """The interval-overlap and bag-membership checks are raises, not
+    asserts, so they also run under `python -O`."""
+    from twolayer import layout
+
+    g, pd, witness = _crossing_pair_instance()
+    induced = layout._induced_drawing
+
+    def hollow_bags(graph, pd):
+        normalized, ell, drawing = induced(graph, pd)
+        return PathDecomposition(tuple(("zz",) for _ in normalized.bags)), ell, drawing
+
+    monkeypatch.setattr(layout, "_induced_drawing", hollow_bags)
+    with pytest.raises(tl.CertificateError, match="misses edge"):
+        tl.explain_oversized_bag(g, pd, witness)
+
+    def disjoint_intervals(graph, pd):
+        normalized, _, drawing = induced(graph, pd)
+        return normalized, {"a1": 1, "b2": 2, "a2": 3, "b1": 4}, drawing
+
+    monkeypatch.setattr(layout, "_induced_drawing", disjoint_intervals)
+    with pytest.raises(tl.CertificateError, match="do not overlap"):
+        tl.explain_oversized_bag(g, pd, witness)
+
+
 def test_explain_bag_dominates_witness_on_random_instances():
     checked = 0
     for d0 in random_corpus(200, seed=71, max_side=5):

@@ -17,6 +17,7 @@ from twolayer import (
 )
 
 from conftest import decompositions, graphs
+from oracles import brute_pathwidth
 
 
 def _graph_of(edges, isolated=()):
@@ -216,12 +217,12 @@ def test_pathwidth_matches_permutation_brute_force():
     for _ in range(25):
         na, nb = rng.randint(1, 3), rng.randint(0, 3)
         g, _ = tl.random_drawing(na, nb, rng.uniform(0.2, 1.0), rng.randrange(1 << 30))
-        assert tl.pathwidth_exact(g)[0] == tl.brute_pathwidth(g)
+        assert tl.pathwidth_exact(g)[0] == brute_pathwidth(g)
     for nxg in nx.nonisomorphic_trees(6):
         g = tl.bipartition_from_edges(
             tuple((f"v{u}", f"v{v}") for u, v in nxg.edges)
         )
-        assert tl.pathwidth_exact(g)[0] == tl.brute_pathwidth(g)
+        assert tl.pathwidth_exact(g)[0] == brute_pathwidth(g)
 
 
 def test_pathwidth_monotone_under_vertex_deletion():
