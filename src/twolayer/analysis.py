@@ -181,9 +181,6 @@ class ChainCover:
             out.setdefault(tail, []).append(head)
         return {v: tuple(sorted(hs)) for v, hs in out.items()}
 
-    def out_neighbors(self, v: str) -> tuple[str, ...]:
-        return self.out_map.get(v, ())
-
     def closed_out_neighborhood(self, v: str) -> tuple[str, ...]:
         return tuple(sorted({v, *self.out_map.get(v, ())}))
 
@@ -366,6 +363,18 @@ def _rising_table(
     return table
 
 
+def _st_search_edges(
+    drawing: TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap: int
+) -> tuple[Edge, ...]:
+    """The drawing's edges, once s_cap, t_cap and edge_cap admit a search."""
+    if s_cap < 1 or t_cap < 1:
+        raise GraphError("s, t and their caps must be >= 1")
+    edges = drawing.graph.edges
+    if len(edges) > edge_cap:
+        raise CapExceededError(f"{len(edges)} edges exceeds (s,t) search cap {edge_cap}")
+    return edges
+
+
 def _st_splits(
     drawing: TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap: int
 ) -> dict[tuple[int, int], tuple[int, int, bool]]:
@@ -375,12 +384,7 @@ def _st_splits(
     a split realizes (min(a, s_cap), min(b, t_cap)), with S in the first
     quadrant, and swapped (min(b, s_cap), min(a, t_cap)), with S in the
     second, if a, b >= 1."""
-    if s_cap < 1 or t_cap < 1:
-        raise GraphError("s, t and their caps must be >= 1")
-    edges = drawing.graph.edges
-    m = len(edges)
-    if m > edge_cap:
-        raise CapExceededError(f"{m} edges exceeds (s,t) search cap {edge_cap}")
+    edges = _st_search_edges(drawing, s_cap, t_cap, edge_cap)
     pa, pb = drawing.pos_a, drawing.pos_b
     xs = sorted({0, *(pa[u] for u, _ in edges)})
     ys = sorted({0, *(pb[v] for _, v in edges)})
@@ -431,6 +435,8 @@ def st_crossing_exists(
 ) -> CrossingWitness | None:
     """Witness for non-crossing matchings S, T (|S|=s, |T|=t) with every
     S-edge crossing every T-edge, or None if no such pair exists."""
+    if len(_st_search_edges(drawing, s, t, edge_cap)) < s + t:
+        return None  # disjoint S and T need s + t edges
     split = _st_splits(drawing, s, t, edge_cap).get((s, t))
     return None if split is None else _st_witness(drawing, split, s, t)
 

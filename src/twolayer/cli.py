@@ -27,6 +27,8 @@ from .graphs import (
     DEFAULT_RANDOM_SIDE_CAP,
     DEFAULT_STAR_CAP,
     DEFAULT_TREE_HEIGHT_CAP,
+    BipartiteGraph,
+    TwoLayerDrawing,
     complete_binary_tree,
     drawing_from_json,
     drawing_to_json,
@@ -92,24 +94,15 @@ def _int_from(low: int) -> Callable[[str], int]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "tree":
-        cap = args.cap_n if args.cap_n is not None else DEFAULT_TREE_HEIGHT_CAP
-        _, drawing = complete_binary_tree(args.height, cap=cap)
-        payload = drawing
+        _, payload = complete_binary_tree(args.height, cap=args.cap_n)
     elif args.family == "grid":
-        cap = args.cap_n if args.cap_n is not None else DEFAULT_GRID_SIDE_CAP
-        _, drawing = grid_graph(args.side, cap=cap)
-        payload = drawing
+        _, payload = grid_graph(args.side, cap=args.cap_n)
+    elif args.family == "star" and args.fan:
+        _, payload = star_fan_drawing(args.legs, cap=args.cap_n)
     elif args.family == "star":
-        cap = args.cap_n if args.cap_n is not None else DEFAULT_STAR_CAP
-        if args.fan:
-            _, payload = star_fan_drawing(args.legs, cap=cap)
-        else:
-            payload = subdivided_star(args.legs, cap=cap)
+        payload = subdivided_star(args.legs, cap=args.cap_n)
     else:  # random
-        cap = args.cap_n if args.cap_n is not None else DEFAULT_RANDOM_SIDE_CAP
-        _, payload = random_drawing(args.na, args.nb, args.p, args.seed, cap=cap)
-
-    from .graphs import BipartiteGraph, TwoLayerDrawing
+        _, payload = random_drawing(args.na, args.nb, args.p, args.seed, cap=args.cap_n)
 
     if args.format == "svg":
         if isinstance(payload, BipartiteGraph):
@@ -253,10 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     rand.add_argument("--nb", type=int, required=True)
     rand.add_argument("--p", type=float, required=True)
     rand.add_argument("--seed", type=int, default=0)
-    for p in (tree, grid, star, rand):
+    for p, cap in (
+        (tree, DEFAULT_TREE_HEIGHT_CAP),
+        (grid, DEFAULT_GRID_SIDE_CAP),
+        (star, DEFAULT_STAR_CAP),
+        (rand, DEFAULT_RANDOM_SIDE_CAP),
+    ):
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "svg"), default="json")
-        p.add_argument("--cap-n", type=_int_from(0), default=None, dest="cap_n")
+        p.add_argument("--cap-n", type=_int_from(0), default=cap, dest="cap_n")
         p.set_defaults(func=_cmd_gen)
 
     analyze = sub.add_parser("analyze", help="crossing analytics for a drawing")

@@ -13,17 +13,21 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 from .analysis import (
-    DEFAULT_PROFILE_CAP,
-    DEFAULT_ST_EDGE_CAP,
     check_counting_bound,
     crossings_per_edge,
     max_crossing_set,
     maximum_noncrossing_matching,
 )
-from .decompose import audit_counting_bounds, certificate_to_json, decompose_drawing
+from .decompose import (
+    DecompositionCertificate,
+    audit_counting_bounds,
+    certificate_to_json,
+    decompose_drawing,
+)
 from .errors import GraphError
 from .graphs import (
     BipartiteGraph,
@@ -40,6 +44,8 @@ from .pathdecomp import (
 )
 
 ALL_CHECKS = ("decompose", "audit", "layout", "counting", "per-edge")
+LAYOUT_VERTEX_CAP = 14  # pathwidth DP budget for the layout check
+PER_EDGE_VERTEX_CAP = 12  # and for the per-edge check
 
 _TRIAL_STRIDE = 1_000_003  # prime; keeps per-trial seeds distinct across seeds
 
@@ -52,10 +58,6 @@ class FuzzConfig:
     nb_range: tuple[int, int] = (0, 8)
     p_range: tuple[float, float] = (0.0, 1.0)
     checks: tuple[str, ...] = ALL_CHECKS
-    layout_vertex_cap: int = 14   # pathwidth DP budget for the layout check
-    per_edge_vertex_cap: int = 12
-    profile_cap: int = DEFAULT_PROFILE_CAP
-    st_edge_cap: int = DEFAULT_ST_EDGE_CAP
     invert_check: str | None = None  # test hook: negate this check's verdict
 
     def __post_init__(self) -> None:
@@ -109,44 +111,48 @@ def _trial_drawing(config: FuzzConfig, trial: int) -> tuple[int, TwoLayerDrawing
     return trial_seed, drawing
 
 
+@dataclass
+class _Trial:
+    """A trial's drawing and the results that its checks share, each computed
+    on first use: decompose and audit read one decomposition, layout and
+    per-edge one exact pathwidth (the same under either check's cap)."""
+
+    drawing: TwoLayerDrawing
+    decomposition = cached_property(lambda self: decompose_drawing(self.drawing))
+    pathwidth = cached_property(
+        lambda self: pathwidth_exact(self.drawing.graph, cap=LAYOUT_VERTEX_CAP)
+    )
+
+
 def _run_check(
-    check: str, drawing: TwoLayerDrawing, config: FuzzConfig
-) -> tuple[bool | None, str, str | None]:
-    """(verdict, detail, certificate json); verdict None means skipped."""
+    check: str, trial: _Trial
+) -> tuple[bool | None, str, DecompositionCertificate | None]:
+    """(verdict, detail, certificate); verdict None means skipped."""
+    drawing = trial.drawing
     graph = drawing.graph
     if check == "decompose":
-        pd, cert = decompose_drawing(
-            drawing, config.profile_cap, config.profile_cap, config.st_edge_cap
-        )
+        pd, cert = trial.decomposition
         bad = validate_decomposition(graph, pd)
-        cj = certificate_to_json(cert)
         if bad:
-            return False, f"invalid decomposition: {[v.describe() for v in bad]}", cj
+            return False, f"invalid decomposition: {[v.describe() for v in bad]}", cert
         if pd.bags and cert.frontier_exact and pd.width > cert.width_bound:
-            return (
-                False,
-                f"width {pd.width} exceeds bound {cert.width_bound}",
-                cj,
-            )
+            return False, f"width {pd.width} exceeds bound {cert.width_bound}", cert
         width = pd.width if pd.bags else 0
-        return True, f"width {width} within bound {cert.width_bound}", cj
+        return True, f"width {width} within bound {cert.width_bound}", cert
 
     if check == "audit":
-        _, cert = decompose_drawing(
-            drawing, config.profile_cap, config.profile_cap, config.st_edge_cap
-        )
+        _, cert = trial.decomposition
         report = audit_counting_bounds(drawing, cert)
-        cj = certificate_to_json(cert)
         if report.ok:
-            return True, "all counting bounds hold", cj
-        return False, f"counting violations: {report.violations}", cj
+            return True, "all counting bounds hold", cert
+        return False, f"counting violations: {report.violations}", cert
 
     if check == "layout":
-        if not graph.vertices or len(graph.vertices) > config.layout_vertex_cap:
+        if not graph.vertices or len(graph.vertices) > LAYOUT_VERTEX_CAP:
             return None, "skipped: size out of range", None
-        _, order = pathwidth_exact(graph, cap=config.layout_vertex_cap)
+        _, order = trial.pathwidth
         pd = order_to_decomposition(graph, order)
-        _, cert = layout_decomposition(graph, pd, config.st_edge_cap)
+        _, cert = layout_decomposition(graph, pd)
         detail = (
             f"k={cert.k} max_crossing={cert.max_crossing} "
             f"st_ok={cert.st_ok}"
@@ -168,13 +174,27 @@ def _run_check(
         return report.hypotheses_ok and report.holds, detail, None
 
     if check == "per-edge":
-        if not graph.vertices or len(graph.vertices) > config.per_edge_vertex_cap:
+        if not graph.vertices or len(graph.vertices) > PER_EDGE_VERTEX_CAP:
             return None, "skipped: size out of range", None
         c = max(crossings_per_edge(drawing).values(), default=0)
-        pw, _ = pathwidth_exact(graph, cap=config.per_edge_vertex_cap)
+        pw, _ = trial.pathwidth
         return pw <= c + 1, f"pathwidth {pw} vs per-edge max {c}", None
 
     raise GraphError(f"unknown check {check!r}")
+
+
+def _judge(
+    check: str, trial: _Trial, config: FuzzConfig
+) -> tuple[bool | None, str, DecompositionCertificate | None, bool]:
+    """(passed, detail, certificate, inverted); passed None means skipped.  A
+    check that raises fails, uninverted and without the traceback, whose
+    paths and line numbers would keep the dump from replaying elsewhere."""
+    try:
+        verdict, detail, cert = _run_check(check, trial)
+    except Exception as exc:
+        return False, f"raised {type(exc).__name__}: {exc}", None, False
+    inverted = config.invert_check == check
+    return (None if verdict is None else verdict != inverted), detail, cert, inverted
 
 
 def drop_isolated_a(drawing: TwoLayerDrawing) -> TwoLayerDrawing:
@@ -194,14 +214,12 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     failures: list[FailureDump] = []
     for trial in range(config.trials):
         trial_seed, drawing = _trial_drawing(config, trial)
+        shared = _Trial(drawing)
         for check in config.checks:
-            verdict, detail, cert_json = _run_check(check, drawing, config)
+            verdict, detail, cert, inverted = _judge(check, shared, config)
             if verdict is None:
                 counters[check][3] += 1
                 continue
-            inverted = config.invert_check == check
-            if inverted:
-                verdict = not verdict
             counters[check][0] += 1
             if verdict:
                 counters[check][1] += 1
@@ -213,7 +231,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                         trial=trial,
                         trial_seed=trial_seed,
                         drawing_json=drawing_to_json(drawing),
-                        certificate_json=cert_json,
+                        certificate_json=cert and certificate_to_json(cert),
                         detail=detail,
                         inverted=inverted,
                     )
@@ -232,15 +250,11 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
 
 def replay_failure(dump: FailureDump, config: FuzzConfig) -> FailureDump | None:
     """Re-run one dumped trial check; None if it now passes."""
-    drawing = drawing_from_json(dump.drawing_json)
-    verdict, detail, cert_json = _run_check(dump.check, drawing, config)
-    if verdict is None:
+    trial = _Trial(drawing_from_json(dump.drawing_json))
+    verdict, detail, cert, inverted = _judge(dump.check, trial, config)
+    if verdict is not False:
         return None
-    inverted = config.invert_check == dump.check
-    if inverted:
-        verdict = not verdict
-    if verdict:
-        return None
+    cert_json = cert and certificate_to_json(cert)
     return replace(dump, detail=detail, certificate_json=cert_json, inverted=inverted)
 
 
@@ -248,15 +262,7 @@ def report_to_json(report: FuzzReport) -> str:
     payload = {
         "trials": report.trials,
         "seed": report.seed,
-        "checks": {
-            c: {
-                "run": s.run,
-                "passed": s.passed,
-                "failed": s.failed,
-                "skipped": s.skipped,
-            }
-            for c, s in report.stats.items()
-        },
+        "checks": {c: asdict(s) for c, s in report.stats.items()},
         "failures": [
             {
                 "check": d.check,

@@ -214,10 +214,9 @@ def caterpillar_layout(graph: BipartiteGraph) -> TwoLayerDrawing:
     independent edges then have their endpoints in the same relative order on
     both rails, so no pair crosses.
     """
-    flag, spine = is_caterpillar(graph)
-    if not flag:
+    _, spine = is_caterpillar(graph)
+    if spine is None:
         raise NotCaterpillarError("not a caterpillar")
-    assert spine is not None
     if not spine:
         sequence = sorted(graph.vertices)  # K1 or K2
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import CapExceededError, DecompositionError, GraphError
+from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
 from .graphs import BipartiteGraph, Edge
 
 DEFAULT_PATHWIDTH_CAP = 20
@@ -189,14 +189,14 @@ def pathwidth_exact(
     while s:
         b = boundary(s)
         t = s
-        chosen = -1
         while t:
             low = t & -t
             if max(f[s ^ low], b) == f[s]:
-                chosen = low.bit_length() - 1
                 break
             t ^= low
-        assert chosen >= 0
+        else:
+            raise CertificateError(f"no vertex attains the optimal separation {f[s]}")
+        chosen = low.bit_length() - 1
         order_rev.append(verts[chosen])
         s ^= 1 << chosen
     return f[full], tuple(reversed(order_rev))

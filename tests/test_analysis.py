@@ -475,7 +475,7 @@ def _long_rail_corpus(count, seed):
     return out
 
 
-def test_st_search_matches_full_grid_reference():
+def test_st_search_matches_full_grid_reference(monkeypatch):
     """st_profile, every st_crossing_exists(s, t) witness with s, t <= 4 and
     analysis_report equal the uncompressed scan's, edge for edge."""
     edgeless = no_vertices = with_edges = 0
@@ -499,6 +499,30 @@ def test_st_search_matches_full_grid_reference():
     # drawings with edges and edgeless ranks, edgeless drawings and one
     # drawing without vertices all occur
     assert with_edges > 1500 and edgeless > 100 and no_vertices == 1
+
+    # A drawing with fewer than s + t edges has no (s,t) pattern and needs no
+    # split tables, but s or t below 1 and an edge count above the cap still
+    # raise first.
+    from twolayer import analysis
+
+    def no_tables(*args):
+        raise AssertionError("split tables built")
+
+    monkeypatch.setattr(analysis, "_rising_table", no_tables)
+    for d in _long_rail_corpus(200, seed=98):
+        m = len(d.graph.edges)
+        tables = ref_quadrant_tables(d)
+        for s, t in ((1, m), (m, 1), (m + 1, 1), (2, m)):
+            if 1 <= min(s, t) and m < s + t:
+                assert tl.st_crossing_exists(d, s, t) is None
+                assert ref_st_crossing_exists(d, tables, s, t) is None
+        with pytest.raises(GraphError):
+            tl.st_crossing_exists(d, 0, m + 1)
+        with pytest.raises(GraphError):
+            tl.st_crossing_exists(d, m + 1, -1)
+        if m:
+            with pytest.raises(CapExceededError):
+                tl.st_crossing_exists(d, m, m, edge_cap=m - 1)
 
 
 # ---------------------------------------------------------- counting bound

@@ -1,11 +1,13 @@
 """The randomized invariant sweep and its failure-replay machinery."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 import twolayer as tl
-from twolayer import FuzzConfig, GraphError
+from twolayer import CheckStats, FuzzConfig, GraphError, fuzz
 
 
 def test_config_validation():
@@ -73,7 +75,7 @@ def test_failure_dump_round_trips_drawing():
     rep = tl.run_fuzz(config)
     for dump in rep.failures:
         d = tl.drawing_from_json(dump.drawing_json)
-        assert len(d.graph.vertices) <= config.layout_vertex_cap
+        assert len(d.graph.vertices) <= fuzz.LAYOUT_VERTEX_CAP
 
 
 def test_drop_isolated_a():
@@ -84,3 +86,64 @@ def test_drop_isolated_a():
     assert out.graph.b == ("b1",)  # isolated B vertices stay
     assert out.order_a == ("a1",)
     assert out.graph.edges == (("a1", "b1"),)
+
+
+@pytest.mark.parametrize(
+    "trials, invert, digest",
+    [
+        (100, None, "90de8b94450837adc156646796b2e09e891717a52b696e56610d8fa06b58e059"),
+        (20, "decompose", "980bf91250d4fd25fe42303d0f28897b1f17ee3f5e4b317da03cdf8fe666131c"),
+        (20, "audit", "4831b1ff9d21f4b5fbc21ec9197640af413baf75931585edfcbb32cbeb6960bd"),
+        (20, "per-edge", "0e41ec54df7e9265a2e1076a0a5b9e18f54b915def685aa57a9fb157dfc2a9b1"),
+    ],
+)
+def test_report_bytes_are_pinned(trials, invert, digest):
+    """Report bytes, the dumps' certificate JSON included, are pinned:
+    sharing one decomposition and one exact pathwidth per trial, and
+    building certificate JSON only for dumps, must not change them."""
+    rep = tl.run_fuzz(FuzzConfig(trials=trials, seed=7, invert_check=invert))
+    assert hashlib.sha256(tl.report_to_json(rep).encode()).hexdigest() == digest
+
+
+def test_each_trial_decomposes_and_solves_pathwidth_once(monkeypatch):
+    calls = {"decompose_drawing": 0, "pathwidth_exact": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(fuzz, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fuzz, name, counted)
+    solved = 0
+    for seed in range(40):
+        config = FuzzConfig(trials=1, seed=seed)
+        n = len(fuzz._trial_drawing(config, 0)[1].graph.vertices)
+        calls.update(decompose_drawing=0, pathwidth_exact=0)
+        assert tl.run_fuzz(config).ok
+        # the layout check needs the exact pathwidth up to its larger cap
+        exact = int(0 < n <= fuzz.LAYOUT_VERTEX_CAP)
+        assert calls == {"decompose_drawing": 1, "pathwidth_exact": exact}, seed
+        solved += exact and n <= fuzz.PER_EDGE_VERTEX_CAP
+    assert solved > 10  # per-edge read the same pathwidth on these trials
+
+
+def test_crashing_check_becomes_replayable_failure(monkeypatch):
+    def crash(drawing, cert):
+        raise RuntimeError("audit crashed")
+
+    monkeypatch.setattr(fuzz, "audit_counting_bounds", crash)
+    config = FuzzConfig(trials=12, seed=7)
+    rep = tl.run_fuzz(config)
+    assert [(d.check, d.trial) for d in rep.failures] == [("audit", t) for t in range(12)]
+    assert rep.stats["audit"] == CheckStats(run=12, failed=12)
+    for name in tl.ALL_CHECKS:
+        stats = rep.stats[name]
+        assert stats.run + stats.skipped == 12
+        if name != "audit":
+            assert stats.run > 0 and stats.passed == stats.run
+    for dump in rep.failures:
+        assert dump.detail == "raised RuntimeError: audit crashed"
+        assert dump.certificate_json is None and not dump.inverted
+        assert tl.replay_failure(dump, config) == dump
+    # inverting the crashing check does not turn its crash into a pass
+    inverted = dataclasses.replace(config, invert_check="audit")
+    assert tl.run_fuzz(inverted).failures == rep.failures

@@ -202,6 +202,23 @@ def test_pathwidth_errors():
         tl.pathwidth_exact(big)
 
 
+def test_pathwidth_order_rebuild_raises_on_inconsistent_table(monkeypatch):
+    """If no vertex attains the table's optimum, the order cannot be rebuilt:
+    a table that reads 0 for the whole of a connected graph, whose every
+    smaller set has a vertex with a neighbour outside it, raises
+    CertificateError (an `assert` would vanish under `python -O`)."""
+    from twolayer import pathdecomp
+
+    class ZeroForFullSet(bytearray):
+        def __getitem__(self, i):
+            return 0 if i == len(self) - 1 else super().__getitem__(i)
+
+    monkeypatch.setattr(pathdecomp, "bytearray", ZeroForFullSet, raising=False)
+    path = BipartiteGraph(("a", "c"), ("b",), (("a", "b"), ("c", "b")))
+    with pytest.raises(tl.CertificateError, match="optimal separation 0"):
+        tl.pathwidth_exact(path)
+
+
 def test_pathwidth_order_realizes_width():
     g, _ = tl.grid_graph(3)
     pw, order = tl.pathwidth_exact(g)
