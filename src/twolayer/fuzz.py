@@ -44,8 +44,10 @@ from .pathdecomp import (
 )
 
 ALL_CHECKS = ("decompose", "audit", "layout", "counting", "per-edge")
-LAYOUT_VERTEX_CAP = 14  # pathwidth DP budget for the layout check
-PER_EDGE_VERTEX_CAP = 12  # and for the per-edge check
+# Largest graph whose exact pathwidth the layout check computes, and the
+# largest the per-edge check uses; raising either changes the report bytes.
+LAYOUT_VERTEX_CAP = 14
+PER_EDGE_VERTEX_CAP = 12
 
 _TRIAL_STRIDE = 1_000_003  # prime; keeps per-trial seeds distinct across seeds
 

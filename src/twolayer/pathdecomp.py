@@ -2,8 +2,9 @@
 
 A path decomposition is an ordered sequence of bags subject to the cover,
 edge, and contiguity conditions.  Pathwidth is computed exactly through the
-vertex-separation formulation (they coincide), which admits a subset DP that
-is practical to ~20 vertices.
+vertex-separation formulation (they coincide), by a search that expands only
+the prefix sets no costlier than the optimum.  It stays within a 2^n table,
+so the vertex cap (20 by default) remains.
 """
 
 from __future__ import annotations
@@ -133,18 +134,35 @@ def intro_intervals(pd: PathDecomposition) -> dict[str, tuple[int, int]]:
 
 
 # ===================================================================
-# exact pathwidth (vertex separation DP)
+# exact pathwidth (vertex separation, bottleneck search)
 # ===================================================================
+
+_UNSEEN = 255  # level of a set the search has not reached; above any width
+
 
 def pathwidth_exact(
     graph: BipartiteGraph, cap: int = DEFAULT_PATHWIDTH_CAP
 ) -> tuple[int, tuple[str, ...]]:
     """Exact pathwidth with an optimal vertex order.
 
-    Computes the vertex separation number: f(S) = min over v in S of
-    max(f(S - v), boundary(S)), where boundary(S) counts vertices of S with
-    a neighbor outside S.  The returned order achieves the optimum and
-    converts to a decomposition of exactly this width.
+    Pathwidth equals the vertex separation number (Kinnersley 1992): the
+    least, over vertex orders, of the largest boundary of a prefix, where
+    boundary(S) counts the vertices of S with a neighbor outside S.  The cost
+    f(S) of a prefix set is the least largest boundary over the chains
+    {} < ... < S that add one vertex at a time, so f(S) = min over v in S of
+    max(f(S - v), boundary(S)), and the pathwidth is f(V).
+
+    A bottleneck search from {} finds f(S) for every set with
+    f(S) <= f(V).  It expands sets in buckets of cost 0, 1, 2, ...; a set
+    first reached from bucket w costs max(w, boundary), which is final since
+    every cheaper set was expanded before.  Costs go into a 2^n table, from
+    which each bucket is read back when its turn comes.  The search stops
+    once the bucket holding V is exhausted, so every unreached set costs
+    more than f(V).  The order is rebuilt from V by removing, at each step,
+    the lowest-index vertex v with f(S - v) <= f(S).  That is the choice a
+    full 2^n subset DP with the same tie-break makes, so the order equals
+    the DP's, not merely another optimal one.  The order converts to a
+    decomposition of exactly this width.
     """
     verts = graph.vertices
     n = len(verts)
@@ -157,49 +175,63 @@ def pathwidth_exact(
     for u, v in graph.edges:
         nbr[index[u]] |= 1 << index[v]
         nbr[index[v]] |= 1 << index[u]
+    # (bit, neighborhood) of each neighbor, for the O(deg v) boundary update
+    adj = [[(1 << j, nbr[j]) for j in range(n) if m >> j & 1] for m in nbr]
     full = (1 << n) - 1
-    f = bytearray(1 << n)
-
-    def boundary(s: int) -> int:
-        comp = full ^ s
-        count = 0
-        t = s
-        while t:
-            low = t & -t
-            if nbr[low.bit_length() - 1] & comp:
-                count += 1
-            t ^= low
-        return count
-
-    for s in range(1, 1 << n):
-        b = boundary(s)
-        best = n + 1
-        t = s
-        while t:
-            low = t & -t
-            prev = f[s ^ low]
-            cost = prev if prev > b else b
-            if cost < best:
-                best = cost
-            t ^= low
-        f[s] = best
+    level = bytearray([_UNSEEN]) * (1 << n)
+    level[0] = 0
+    for w in range(n):
+        # A set of cost w found from a cheaper bucket has boundary w and is
+        # read back from the table.  One reached from this bucket goes on
+        # the same stack, as `set | boundary << n`.
+        mark = bytes((w,))
+        stack: list[int] = []
+        s = level.find(mark)
+        while s >= 0:
+            stack.append(s | w << n)
+            s = level.find(mark, s + 1)
+        while stack:
+            x = stack.pop()
+            s = x & full
+            b = x >> n
+            t = full ^ s
+            while t:
+                low = t & -t
+                t ^= low
+                u = s | low
+                if level[u] != _UNSEEN:
+                    continue
+                out = full ^ u
+                i = low.bit_length() - 1
+                # v joins the boundary if it has a neighbor outside; a
+                # neighbor in S leaves it once its last outside neighbor is v
+                c = b + (nbr[i] & out != 0)
+                for bit, nb in adj[i]:
+                    if s & bit and not nb & out:
+                        c -= 1
+                if c > w:
+                    level[u] = c
+                else:
+                    level[u] = w
+                    stack.append(u | c << n)
+        if level[full] <= w:
+            break
 
     order_rev: list[str] = []
     s = full
     while s:
-        b = boundary(s)
+        cost = level[s]
         t = s
         while t:
             low = t & -t
-            if max(f[s ^ low], b) == f[s]:
+            if level[s ^ low] <= cost:
                 break
             t ^= low
         else:
-            raise CertificateError(f"no vertex attains the optimal separation {f[s]}")
-        chosen = low.bit_length() - 1
-        order_rev.append(verts[chosen])
-        s ^= 1 << chosen
-    return f[full], tuple(reversed(order_rev))
+            raise CertificateError(f"no vertex attains the optimal separation {cost}")
+        order_rev.append(verts[low.bit_length() - 1])
+        s ^= low
+    return level[full], tuple(reversed(order_rev))
 
 
 def order_to_decomposition(
@@ -207,20 +239,25 @@ def order_to_decomposition(
 ) -> PathDecomposition:
     """Bags induced by a vertex order: the i-th bag holds v_i plus every
     earlier vertex that still has a neighbor outside the first i-1 vertices.
-    The width equals the order's separation cost."""
+    The width equals the order's separation cost.
+
+    Each vertex keeps a count of its neighbors not yet placed, and the
+    placed vertices whose count is positive form the frontier, so the bags
+    cost O(n + m) beyond their own size."""
     if sorted(order) != sorted(graph.vertices):
         raise GraphError("order is not a permutation of the vertex set")
-    placed: set[str] = set()
+    nbrs = graph.neighbors
+    unplaced = {v: len(ns) for v, ns in nbrs.items()}
+    frontier: set[str] = set()
     bags: list[tuple[str, ...]] = []
     for v in order:
-        bag = {
-            u
-            for u in placed
-            if any(w not in placed for w in graph.neighbors[u])
-        }
-        bag.add(v)
-        bags.append(tuple(sorted(bag)))
-        placed.add(v)
+        bags.append((*frontier, v))
+        for w in nbrs[v]:
+            unplaced[w] -= 1
+            if not unplaced[w]:
+                frontier.discard(w)
+        if unplaced[v]:
+            frontier.add(v)
     return PathDecomposition(tuple(bags))
 
 

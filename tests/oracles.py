@@ -1,13 +1,14 @@
 """Brute-force oracles that the tests compare the library against.
 
 Each one enumerates subsets or vertex orderings, so each refuses inputs
-above a small cap with CapExceededError.
+above a small cap with CapExceededError.  The last two are the library's
+former exact-pathwidth DP and order-to-bags conversion, kept as references.
 """
 
 from itertools import combinations, permutations
 
 import twolayer as tl
-from twolayer import CapExceededError, GraphError
+from twolayer import CapExceededError, CertificateError, GraphError
 
 
 def _is_noncrossing_matching(drawing: tl.TwoLayerDrawing, edges) -> bool:
@@ -90,3 +91,87 @@ def brute_pathwidth(graph: tl.BipartiteGraph, cap: int = 8) -> int:
                 break
         best = min(best, worst)
     return best
+
+
+def dp_pathwidth(
+    graph: tl.BipartiteGraph, cap: int = 16
+) -> tuple[int, tuple[str, ...]]:
+    """Exact pathwidth and order by the full subset DP over all 2^n sets:
+    f(S) = min over v in S of max(f(S - v), boundary(S)).  The order removes,
+    from S = V down, the lowest-index v attaining f(S)."""
+    verts = graph.vertices
+    n = len(verts)
+    if n == 0:
+        raise GraphError("pathwidth is undefined for the empty graph")
+    if n > cap:
+        raise CapExceededError(f"{n} vertices exceeds DP cap {cap}")
+    index = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * n
+    for u, v in graph.edges:
+        nbr[index[u]] |= 1 << index[v]
+        nbr[index[v]] |= 1 << index[u]
+    full = (1 << n) - 1
+    f = bytearray(1 << n)
+
+    def boundary(s: int) -> int:
+        comp = full ^ s
+        count = 0
+        t = s
+        while t:
+            low = t & -t
+            if nbr[low.bit_length() - 1] & comp:
+                count += 1
+            t ^= low
+        return count
+
+    for s in range(1, 1 << n):
+        b = boundary(s)
+        best = n + 1
+        t = s
+        while t:
+            low = t & -t
+            prev = f[s ^ low]
+            cost = prev if prev > b else b
+            if cost < best:
+                best = cost
+            t ^= low
+        f[s] = best
+
+    order_rev: list[str] = []
+    s = full
+    while s:
+        b = boundary(s)
+        t = s
+        while t:
+            low = t & -t
+            if max(f[s ^ low], b) == f[s]:
+                break
+            t ^= low
+        else:
+            raise CertificateError(f"no vertex attains the optimal separation {f[s]}")
+        chosen = low.bit_length() - 1
+        order_rev.append(verts[chosen])
+        s ^= 1 << chosen
+    return f[full], tuple(reversed(order_rev))
+
+
+def naive_order_to_decomposition(
+    graph: tl.BipartiteGraph, order
+) -> tl.PathDecomposition:
+    """Bags of a vertex order, rescanning every placed vertex's neighbours
+    at each step: the i-th bag holds v_i plus every earlier vertex that
+    still has a neighbour outside the first i-1 vertices."""
+    if sorted(order) != sorted(graph.vertices):
+        raise GraphError("order is not a permutation of the vertex set")
+    placed: set[str] = set()
+    bags = []
+    for v in order:
+        bag = {
+            u
+            for u in placed
+            if any(w not in placed for w in graph.neighbors[u])
+        }
+        bag.add(v)
+        bags.append(tuple(sorted(bag)))
+        placed.add(v)
+    return tl.PathDecomposition(tuple(bags))

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -145,6 +146,31 @@ def test_pathwidth_and_layout_pipeline(capsys, tmp_path):
     assert d.graph == g
     cert = json.loads(cert_path.read_text())
     assert cert["maxCrossingOk"] is True and cert["stOk"] is True
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "66ad2986d4b968ef32d07a82ce51730957989d7ef6b9124b45aad7551e4a97a2"),
+        (2, "e6ba245911895fe320489bae9d226a5abba623d006a5da49c174dd7badcbd411"),
+        (3, "e22252317489ebb0b78b876262cfe8f2bde66b23a8153e63a5b344050b7e7c30"),
+        (None, "969b24e3fd0d016366ebf1024cfc757d9a3bb33876abca01a727d4ea0a2ae4ef"),
+    ],
+)
+def test_pathwidth_output_bytes_are_pinned(capsys, tmp_path, seed, digest):
+    """Width, order and bags are pinned for three 18-vertex random graphs and
+    K_{4,4}: the exact search must give the subset DP's order, not merely
+    another optimal one."""
+    if seed is None:
+        a, b = ("a0", "a1", "a2", "a3"), ("b0", "b1", "b2", "b3")
+        g = tl.BipartiteGraph(a, b, tuple((u, v) for u in a for v in b))
+    else:
+        g, _ = tl.random_drawing(9, 9, 0.3, seed)
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(tl.graph_to_json(g))
+    code, out, _ = run(capsys, "pathwidth", "--in", str(graph_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_pathwidth_cap_is_exit_3(capsys, tmp_path):

@@ -17,7 +17,7 @@ from twolayer import (
 )
 
 from conftest import decompositions, graphs
-from oracles import brute_pathwidth
+from oracles import brute_pathwidth, dp_pathwidth, naive_order_to_decomposition
 
 
 def _graph_of(edges, isolated=()):
@@ -206,10 +206,14 @@ def test_pathwidth_order_rebuild_raises_on_inconsistent_table(monkeypatch):
     """If no vertex attains the table's optimum, the order cannot be rebuilt:
     a table that reads 0 for the whole of a connected graph, whose every
     smaller set has a vertex with a neighbour outside it, raises
-    CertificateError (an `assert` would vanish under `python -O`)."""
+    CertificateError (an `assert` would vanish under `python -O`).  The table
+    is built as `bytearray([x]) * size`, so the product keeps the hook."""
     from twolayer import pathdecomp
 
     class ZeroForFullSet(bytearray):
+        def __mul__(self, size):
+            return ZeroForFullSet(bytes(self) * size)
+
         def __getitem__(self, i):
             return 0 if i == len(self) - 1 else super().__getitem__(i)
 
@@ -259,6 +263,96 @@ def test_pathwidth_monotone_under_vertex_deletion():
             if not sub.vertices:
                 continue
             assert tl.pathwidth_exact(sub)[0] <= pw
+
+
+def _relabel(g, prefix):
+    rename = lambda v: prefix + v
+    return BipartiteGraph(
+        tuple(map(rename, g.a)),
+        tuple(map(rename, g.b)),
+        tuple((rename(u), rename(v)) for u, v in g.edges),
+    )
+
+
+def _union(g, h):
+    g, h = _relabel(g, "x"), _relabel(h, "y")
+    return BipartiteGraph(g.a + h.a, g.b + h.b, g.edges + h.edges)
+
+
+def _random_graph(rng, max_side=7):
+    """A seeded random graph of at most 2 * max_side vertices, its sides
+    shuffled so that the index tie-break meets every vertex order."""
+    na, nb = rng.randint(0, max_side), rng.randint(0, max_side)
+    if na + nb == 0:
+        na = 1
+    g, _ = tl.random_drawing(na, nb, rng.random(), rng.randrange(1 << 30))
+    a, b = list(g.a), list(g.b)
+    rng.shuffle(a)
+    rng.shuffle(b)
+    return BipartiteGraph(tuple(a), tuple(b), g.edges)
+
+
+def _pathwidth_corpus():
+    """Seeded random graphs of up to 14 vertices, plus edgeless graphs,
+    isolated vertices, disconnected unions and the named families."""
+    rng = random.Random(20120101)
+    for _ in range(2000):
+        yield _random_graph(rng)
+    for n in range(1, 11):
+        yield BipartiteGraph(tuple(f"a{i}" for i in range(n)), (), ())
+        yield BipartiteGraph(
+            tuple(f"a{i}" for i in range(n // 2)),
+            tuple(f"b{i}" for i in range(n - n // 2)),
+            (),
+        )
+    for _ in range(100):
+        g = _random_graph(rng, max_side=5)
+        extra = tuple(f"i{j}" for j in range(rng.randint(1, 3)))
+        yield BipartiteGraph(g.a + extra[::2], g.b + extra[1::2], g.edges)
+    for _ in range(100):
+        yield _union(_random_graph(rng, max_side=3), _random_graph(rng, max_side=3))
+    for a in range(7):
+        for b in range(7):
+            if a + b:
+                side_a = tuple(f"a{i}" for i in range(a))
+                side_b = tuple(f"b{j}" for j in range(b))
+                yield BipartiteGraph(
+                    side_a, side_b, tuple((u, v) for u in side_a for v in side_b)
+                )
+    for n in range(2, 15):
+        yield _graph_of([(f"v{i}", f"v{i + 1}") for i in range(1, n)])
+    for n in range(1, 14):
+        leaves = tuple(f"l{i}" for i in range(n))
+        yield BipartiteGraph(("c",), leaves, tuple(("c", v) for v in leaves))
+    for h in (2, 3):
+        yield tl.grid_graph(h)[0]
+    for n in range(1, 7):
+        yield tl.subdivided_star(n)
+    yield _union(tl.grid_graph(2)[0], tl.subdivided_star(3))
+
+
+def test_pathwidth_equals_subset_dp_tuple():
+    """The bucket search returns the DP's (width, order) tuple, the order
+    included, and the bags of that order equal the rescanning oracle's."""
+    sizes = set()
+    for g in _pathwidth_corpus():
+        got = tl.pathwidth_exact(g)
+        assert got == dp_pathwidth(g), g
+        assert tl.order_to_decomposition(g, got[1]) == naive_order_to_decomposition(
+            g, got[1]
+        ), g
+        sizes.add(len(g.vertices))
+    assert sizes == set(range(1, 15))
+
+
+def test_order_to_decomposition_matches_rescanning_oracle():
+    rng = random.Random(11)
+    for g in _pathwidth_corpus():
+        order = list(g.vertices)
+        rng.shuffle(order)
+        assert tl.order_to_decomposition(g, order) == naive_order_to_decomposition(
+            g, order
+        ), (g, order)
 
 
 def test_order_to_decomposition_requires_permutation():
