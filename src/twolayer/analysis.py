@@ -13,7 +13,6 @@ import bisect
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, CertificateError, GraphError
@@ -51,13 +50,18 @@ def edges_cross(drawing: TwoLayerDrawing, e: Edge, f: Edge) -> bool:
 
 
 def crossings_per_edge(drawing: TwoLayerDrawing) -> dict[Edge, int]:
-    """Number of edges crossing each edge; values sum to twice the pair count."""
+    """Number of edges crossing each edge; values sum to twice the pair count.
+    In (posA, posB) order, an edge is crossed by exactly the earlier edges
+    with a higher posB and the later edges with a lower one."""
     coords = _coords_sorted(drawing)
-    counts: dict[Edge, int] = {c[2]: 0 for c in coords}
-    for (pa1, pb1, e1), (pa2, pb2, e2) in combinations(coords, 2):
-        if (pa1 - pa2) * (pb1 - pb2) < 0:
-            counts[e1] += 1
-            counts[e2] += 1
+    all_b = sorted(pb for _, pb, _ in coords)
+    seen: list[int] = []  # posB of the earlier edges, sorted
+    counts: dict[Edge, int] = {}
+    for i, (_, pb, e) in enumerate(coords):
+        earlier_above = i - bisect.bisect_right(seen, pb)
+        later_below = bisect.bisect_left(all_b, pb) - bisect.bisect_left(seen, pb)
+        counts[e] = earlier_above + later_below
+        bisect.insort(seen, pb)
     return counts
 
 
@@ -79,39 +83,33 @@ class CrossingWitness:
     t_edges: tuple[Edge, ...] = ()
 
     def verify(self, drawing: TwoLayerDrawing) -> bool:
-        """Re-validate the witness from raw coordinates."""
+        """Re-validate the witness from raw coordinates; GraphError if it
+        names a non-edge."""
         if self.kind == "k":
-            if len(set(self.edges)) != len(self.edges):
-                return False
-            return all(
-                edges_cross(drawing, e, f) for e, f in combinations(self.edges, 2)
-            )
+            # pairwise crossing: sorted, rising on rail A and falling on rail B
+            pairs = sorted((a, -b) for a, b in (_coord_of(drawing, e) for e in self.edges))
+            return _rising_prefix(pairs) == len(pairs)
         if self.kind == "st":
-            if not self.s_edges or not self.t_edges:
-                return False
-            for side in (self.s_edges, self.t_edges):
-                if not _is_noncrossing_matching(drawing, side):
-                    return False
-            return all(
-                edges_cross(drawing, e, f)
-                for e in self.s_edges
-                for f in self.t_edges
+            sides = sorted(
+                sorted(_coord_of(drawing, e) for e in side)
+                for side in (self.s_edges, self.t_edges)
             )
+            if not all(sides) or any(_rising_prefix(p) < len(p) for p in sides):
+                return False
+            # Both sides are non-crossing matchings, and two of those cross
+            # completely iff one lies wholly above and left of the other.
+            left, right = sides
+            return left[-1][0] < right[0][0] and left[0][1] > right[-1][1]
         raise GraphError(f"unknown witness kind {self.kind!r}")
 
 
-def _is_noncrossing_matching(
-    drawing: TwoLayerDrawing, edges: Sequence[Edge]
-) -> bool:
-    seen: set[str] = set()
-    for u, v in edges:
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return not any(
-        edges_cross(drawing, e, f) for e, f in combinations(edges, 2)
-    )
+def _rising_prefix(pairs: Sequence[tuple[int, int]]) -> int:
+    """Length of the longest prefix of pairs that rises strictly in both
+    coordinates; as rank pairs, a non-crossing matching in dominance order."""
+    for i in range(1, len(pairs)):
+        if pairs[i - 1][0] >= pairs[i][0] or pairs[i - 1][1] >= pairs[i][1]:
+            return i
+    return len(pairs)
 
 
 # ===================================================================
@@ -285,11 +283,11 @@ def crossed_runs(
     if not drawing.graph.edge_set.issuperset(matching):
         raise CertificateError("the matching holds a non-edge")
     pa, pb = drawing.pos_a, drawing.pos_b
-    a_ranks = [pa[u] for u, _ in matching]
-    b_ranks = [pb[v] for _, v in matching]
-    for i in range(1, len(matching)):
-        if a_ranks[i - 1] >= a_ranks[i] or b_ranks[i - 1] >= b_ranks[i]:
-            raise CertificateError(f"matching edge {i + 1} does not rise above edge {i}")
+    pairs = [(pa[u], pb[v]) for u, v in matching]
+    i = _rising_prefix(pairs)
+    if i < len(pairs):
+        raise CertificateError(f"matching edge {i + 1} does not rise above edge {i}")
+    a_ranks, b_ranks = [a for a, _ in pairs], [b for _, b in pairs]
     runs: dict[Edge, tuple[int, int]] = {}
     for u, v in drawing.graph.edges:
         a, b = pa[u], pb[v]

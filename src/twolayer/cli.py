@@ -182,23 +182,18 @@ def _cmd_check_pd(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if min(args.trials, args.na_max, args.nb_max) < 0:
-        return _usage("--trials, --na-max and --nb-max must be non-negative")
-    if not 0.0 <= args.p_min <= args.p_max <= 1.0:
-        return _usage("--p-min and --p-max must satisfy 0 <= p-min <= p-max <= 1")
-    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
-    unknown = [c for c in (*checks, args.invert) if c not in (*ALL_CHECKS, None)]
-    if unknown:
-        return _usage(f"unknown checks: {', '.join(unknown)}")
-    config = FuzzConfig(
-        trials=args.trials,
-        seed=args.seed,
-        na_range=(0, args.na_max),
-        nb_range=(0, args.nb_max),
-        p_range=(args.p_min, args.p_max),
-        checks=checks,
-        invert_check=args.invert,
-    )
+    try:
+        config = FuzzConfig(
+            trials=args.trials,
+            seed=args.seed,
+            na_range=(0, args.na_max),
+            nb_range=(0, args.nb_max),
+            p_range=(args.p_min, args.p_max),
+            checks=tuple(args.checks.split(",")) if args.checks else ALL_CHECKS,
+            invert_check=args.invert,
+        )
+    except GraphError as exc:  # FuzzConfig checks the argument domains
+        return _usage(str(exc))
     report = run_fuzz(config)
     _write(args.out, report_to_json(report))
     return 0 if report.ok else 1

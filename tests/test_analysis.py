@@ -11,6 +11,7 @@ import twolayer as tl
 from twolayer import BipartiteGraph, CapExceededError, GraphError, TwoLayerDrawing
 
 from conftest import crossing_pairs, drawings, random_corpus
+from oracles import _is_noncrossing_matching as oracle_noncrossing_matching
 from oracles import brute_max_crossing_set, naive_st_crossing_exists
 
 
@@ -67,6 +68,21 @@ def test_crossings_per_edge_fan():
     assert per[("c", "s5")] == 4  # the steepest centre edge crosses every leg
 
 
+def test_crossings_per_edge_equals_pairwise_count():
+    """The one-pass count equals the pairwise count, values and key order:
+    keys come in (posA, posB) order."""
+    corpus = random_corpus(2000, seed=41)
+    corpus.append(tl.star_fan_drawing(200)[1])
+    corpus.append(tl.random_drawing(30, 30, 0.9, seed=43)[1])
+    for d in corpus:
+        ranked = sorted(d.graph.edges, key=lambda e: (d.pos_a[e[0]], d.pos_b[e[1]]))
+        expected = dict.fromkeys(ranked, 0)
+        for e, f in crossing_pairs(d):
+            expected[e] += 1
+            expected[f] += 1
+        assert list(tl.crossings_per_edge(d).items()) == list(expected.items())
+
+
 # ---------------------------------------------------- max pairwise-crossing
 
 def test_max_crossing_set_matches_brute_force():
@@ -95,6 +111,79 @@ def test_witness_verify_rejects_tampering():
     )
     bogus = tl.CrossingWitness("k", edges=(("a1", "b1"), ("a2", "b2")))
     assert not bogus.verify(d)
+
+
+def _oracle_verify(d, w) -> bool:
+    """CrossingWitness.verify by checking every edge pair with edges_cross."""
+    if w.kind == "k":
+        return all(tl.edges_cross(d, e, f) for e, f in itertools.combinations(w.edges, 2))
+    return (
+        bool(w.s_edges and w.t_edges)
+        and oracle_noncrossing_matching(d, w.s_edges)
+        and oracle_noncrossing_matching(d, w.t_edges)
+        and all(tl.edges_cross(d, e, f) for e in w.s_edges for f in w.t_edges)
+    )
+
+
+def test_witness_verify_matches_pairwise_oracle():
+    """Random edge lists, with flipped orientations, repeated edges and
+    shared endpoints, and reordered subsets of true witnesses of both kinds."""
+    rng = random.Random(47)
+    verdicts = {}
+    for d in random_corpus(600, seed=53, require_edges=True):
+        edges = d.graph.edges
+
+        def mangle(chosen):
+            chosen = list(chosen)
+            if chosen and rng.random() < 0.2:
+                chosen.append(rng.choice(chosen))
+            rng.shuffle(chosen)
+            return tuple(e[::-1] if rng.random() < 0.3 else e for e in chosen)
+
+        def pick(most):
+            return mangle(rng.choices(edges, k=rng.randint(0, most)))
+
+        def part(side):
+            return mangle(rng.sample(side, rng.randint(1, len(side))))
+
+        _, kw = tl.max_crossing_set(d)
+        witnesses = [
+            tl.CrossingWitness("k", edges=pick(4)),
+            tl.CrossingWitness("k", edges=part(kw.edges)),
+            tl.CrossingWitness("st", s_edges=pick(3), t_edges=pick(3)),
+        ]
+        for s, t in tl.st_profile(d, 3, 3):
+            w = tl.st_crossing_exists(d, s, t)
+            witnesses.append(
+                tl.CrossingWitness("st", s_edges=part(w.s_edges), t_edges=part(w.t_edges))
+            )
+            witnesses.append(
+                tl.CrossingWitness("st", s_edges=w.t_edges, t_edges=w.s_edges + pick(1))
+            )
+        for w in witnesses:
+            verdict = w.verify(d)
+            assert verdict == _oracle_verify(d, w), (w, tl.drawing_to_json(d))
+            verdicts[w.kind, verdict] = verdicts.get((w.kind, verdict), 0) + 1
+    assert min(verdicts.values()) > 400, verdicts
+
+
+def test_witness_naming_a_non_edge_always_raises():
+    """Whichever other defect the witness has, a non-edge raises GraphError
+    (it used to return False when an earlier pair already failed)."""
+    d = _drawing(
+        [("a1", "b1"), ("a1", "b2"), ("a2", "b2")], ("a1", "a2"), ("b1", "b2")
+    )
+    non_edge = ("a2", "b1")
+    for w in [
+        tl.CrossingWitness("k", edges=(("a1", "b1"), ("a1", "b2"), non_edge)),
+        tl.CrossingWitness("k", edges=(("a1", "b1"), ("a1", "b1"), non_edge)),
+        tl.CrossingWitness("k", edges=(non_edge,)),
+        tl.CrossingWitness("st", s_edges=(), t_edges=(non_edge,)),
+        tl.CrossingWitness("st", s_edges=(("a1", "b1"), ("a1", "b2")), t_edges=(non_edge,)),
+        tl.CrossingWitness("st", s_edges=(("a1", "b2"),), t_edges=(("a2", "b2"), non_edge)),
+    ]:
+        with pytest.raises(GraphError, match="unknown edge"):
+            w.verify(d)
 
 
 @given(drawings(max_side=5))

@@ -287,8 +287,21 @@ _PACKAGE_DIR = pathlib.Path(tl.__file__).parent
 def test_decompose_module_has_no_assert_statements(module):
     """Invariants on the decompose path, the analysis and layout checks it
     relies on, and every other module of the package must survive
-    `python -O`.  The files are parsed, not imported: importing `__main__`
-    would run the CLI."""
+    `python -O`.  No module takes `itertools.combinations` either: every
+    crossing question is a sweep over rank pairs, not a loop over edge
+    pairs.  The files are parsed, not imported: importing `__main__` would
+    run the CLI."""
     path = _PACKAGE_DIR / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    combinations = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "itertools"
+            and "combinations" in {alias.name for alias in node.names}
+        )
+        or (isinstance(node, ast.Attribute) and node.attr == "combinations")
+    ]
+    assert not combinations

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import twolayer as tl
-from twolayer import CheckStats, FuzzConfig, GraphError, fuzz
+from twolayer import CheckStats, FuzzConfig, GraphError, decompose, fuzz
 
 
 def test_config_validation():
@@ -15,6 +15,23 @@ def test_config_validation():
         FuzzConfig(trials=-1, seed=0)
     with pytest.raises(GraphError):
         FuzzConfig(trials=1, seed=0, checks=("decompose", "nope"))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"invert_check": "nosuch"},
+        {"p_range": (0.9, 0.1)},
+        {"p_range": (-0.5, 0.5)},
+        {"p_range": (0.5, 1.5)},
+        {"na_range": (3, 1)},
+        {"nb_range": (-1, 2)},
+    ],
+)
+def test_config_rejects_out_of_domain_fields(field):
+    """Caught when the config is built, not mid-sweep or never."""
+    with pytest.raises(GraphError):
+        FuzzConfig(trials=1, seed=0, **field)
 
 
 def test_zero_trials():
@@ -147,3 +164,28 @@ def test_crashing_check_becomes_replayable_failure(monkeypatch):
     # inverting the crashing check does not turn its crash into a pass
     inverted = dataclasses.replace(config, invert_check="audit")
     assert tl.run_fuzz(inverted).failures == rep.failures
+
+
+def test_invalid_construction_fails_the_decompose_check(monkeypatch):
+    """decompose_drawing validates what it returns, so a construction that
+    loses a bag fails the decompose check as a raised CertificateError, and
+    the dump replays."""
+    real = decompose._build_bags
+    invalid = []  # per trial: is the construction without its last bag invalid
+
+    def drop_last_bag(drawing, *args):
+        v_sets, bags, tags = real(drawing, *args)
+        pd = tl.PathDecomposition(tuple(bags[:-1]))
+        invalid.append(bool(tl.validate_decomposition(drawing.graph, pd)))
+        return v_sets, bags[:-1], tags
+
+    monkeypatch.setattr(decompose, "_build_bags", drop_last_bag)
+    config = FuzzConfig(trials=30, seed=7, checks=("decompose",))
+    rep = tl.run_fuzz(config)
+    assert [d.trial for d in rep.failures] == [t for t, bad in enumerate(invalid) if bad]
+    assert rep.failures
+    for dump in rep.failures:
+        assert dump.detail.startswith(
+            "raised CertificateError: construction produced an invalid decomposition: "
+        )
+        assert tl.replay_failure(dump, config) == dump
