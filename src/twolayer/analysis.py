@@ -331,35 +331,8 @@ def _rising_chain(items: Iterable[tuple[int, int, Edge]]) -> tuple[Edge, ...]:
 # Only ranks that carry an edge open a split: the quadrants of (p, q) hold
 # the same edges as those of (p', q'), where p' (q') is the largest A-rank
 # (B-rank) of an edge that is <= p (<= q), or 0.  So the scan visits those
-# ranks plus 0, at most (m+1)^2 splits, and its first split in row-major
-# order that reaches a pair is also the first real one.
-
-def _rising_table(
-    points: list[tuple[int, int]], nx: int, ny: int, cap: int
-) -> list[int]:
-    """Row-major (nx+1) x (ny+1) table whose cell (p, q) is the size, capped
-    at cap, of a largest strictly increasing matching among points with
-    x <= p, y > q.  Patience piles past the cap never affect earlier ones,
-    so they are not kept."""
-    rows: list[list[int]] = [[] for _ in range(nx + 1)]
-    for x, y in sorted(points, key=lambda c: -c[1]):
-        rows[x].append(y)
-    width = ny + 1
-    table = [0] * ((nx + 1) * width)
-    for q in range(width):
-        tails: list[int] = []
-        for p in range(1, nx + 1):
-            for y in rows[p]:  # descending
-                if y <= q:
-                    break
-                d = bisect.bisect_left(tails, y)
-                if d < len(tails):
-                    tails[d] = y
-                elif d < cap:
-                    tails.append(y)
-            table[p * width + q] = len(tails)
-    return table
-
+# ranks plus 0, row by row, and its first split in row-major order that
+# reaches a pair is also the first real one.
 
 def _st_search_edges(
     drawing: TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap: int
@@ -381,32 +354,57 @@ def _st_splits(
     matchings in the quadrants posA <= p, posB > q and posA > p, posB <= q,
     a split realizes (min(a, s_cap), min(b, t_cap)), with S in the first
     quadrant, and swapped (min(b, s_cap), min(a, t_cap)), with S in the
-    second, if a, b >= 1."""
+    second, if a, b >= 1.
+
+    Row p takes a for every q from one sweep down the columns, over the
+    points left of p, and b from one sweep up them, over the points right
+    of p.  A sweep adds one column's points in decreasing key order, so no
+    chain holds two of them, and keeps no pile past the larger cap: such
+    piles never affect earlier ones."""
     edges = _st_search_edges(drawing, s_cap, t_cap, edge_cap)
     pa, pb = drawing.pos_a, drawing.pos_b
     xs = sorted({0, *(pa[u] for u, _ in edges)})
     ys = sorted({0, *(pb[v] for _, v in edges)})
-    nx, ny = len(xs) - 1, len(ys) - 1
-    pts = [
-        (bisect.bisect_left(xs, pa[u]), bisect.bisect_left(ys, pb[v]))
-        for u, v in edges
-    ]
-    # a and b matter only up to the larger cap.  The second quadrant of
-    # cell c is the first quadrant of the mirrored points at the opposite
-    # cell, len(tl) - 1 - c.
+    # Column q's compressed A-ranks x: -x for the downward sweep, x for the
+    # upward one, both in decreasing key order.
+    down: list[list[int]] = [[] for _ in ys]
+    for u, v in sorted(edges, key=lambda e: pa[e[0]]):
+        down[bisect.bisect_left(ys, pb[v])].append(-bisect.bisect_left(xs, pa[u]))
+    up = [[-k for k in reversed(col)] for col in down]
     cap = max(s_cap, t_cap)
-    tl = _rising_table(pts, nx, ny, cap)
-    mirrored = [(nx + 1 - x, ny + 1 - y) for x, y in pts]
-    br = reversed(_rising_table(mirrored, nx, ny, cap))
     splits: dict[tuple[int, int], tuple[int, int, bool]] = {}
     last_a = last_b = 0
-    for c, (a, b) in enumerate(zip(tl, br)):
-        if not a or not b or (a == last_a and b == last_b):
-            continue  # a repeated split realizes nothing new
-        last_a, last_b = a, b
-        p, q = xs[c // (ny + 1)], ys[c % (ny + 1)]
-        splits.setdefault((min(a, s_cap), min(b, t_cap)), (p, q, False))
-        splits.setdefault((min(b, s_cap), min(a, t_cap)), (p, q, True))
+    for p in range(1, len(xs)):
+        a_row: list[int] = []  # a for q from the top column down to 0
+        tails: list[int] = []
+        for col in reversed(down):
+            a_row.append(len(tails))
+            for k in col:
+                if k < -p:
+                    break
+                d = bisect.bisect_left(tails, k)
+                if d < len(tails):
+                    tails[d] = k
+                elif d < cap:
+                    tails.append(k)
+        tails = []
+        for q, col, a in zip(ys, up, reversed(a_row)):
+            if not a:
+                break  # a never grows along a row
+            for x in col:
+                if x <= p:
+                    break
+                d = bisect.bisect_left(tails, x)
+                if d < len(tails):
+                    tails[d] = x
+                elif d < cap:
+                    tails.append(x)
+            b = len(tails)
+            if not b or (a == last_a and b == last_b):
+                continue  # a repeated split realizes nothing new
+            last_a, last_b = a, b
+            splits.setdefault((min(a, s_cap), min(b, t_cap)), (xs[p], q, False))
+            splits.setdefault((min(b, s_cap), min(a, t_cap)), (xs[p], q, True))
     return splits
 
 

@@ -290,6 +290,8 @@ def normalize_unique_intro(pd: PathDecomposition) -> PathDecomposition:
             for stop in range(1, len(new) + 1):
                 out.append(tuple(sorted(carried + new[:stop])))
         seen.update(bag)
+    if len(out) == len(pd.bags):
+        return pd  # no bag introduced two vertices, so out is pd's bags
     return PathDecomposition(tuple(out))
 
 

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -435,6 +436,23 @@ def test_st_profile_respects_caps():
     assert tl.st_profile(d, s_cap=2, t_cap=2) == ((2, 2),)
 
 
+def test_st_profile_memory_is_linear_in_edges():
+    """The split scan holds one row at a time.  On the 400-edge star fan,
+    two tables over all 202 x 201 splits peak at about 1.7 KB per edge; one
+    row and the columns peak at about 0.12 KB."""
+    d = tl.star_fan_drawing(200)[1]
+    m = len(d.graph.edges)
+    d.pos_a, d.pos_b  # cached rank maps are the drawing's, not the scan's
+    tracemalloc.start()
+    try:
+        frontier = tl.st_profile(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frontier == ((1, 16), (16, 1))
+    assert peak < 600 * m, peak
+
+
 @given(drawings(max_side=4, max_edges=8))
 @settings(max_examples=40, deadline=None)
 def test_st_profile_points_exist_property(d):
@@ -566,9 +584,11 @@ def _long_rail_corpus(count, seed):
 
 def test_st_search_matches_full_grid_reference(monkeypatch):
     """st_profile, every st_crossing_exists(s, t) witness with s, t <= 4 and
-    analysis_report equal the uncompressed scan's, edge for edge."""
+    analysis_report equal the uncompressed scan's, edge for edge.  The star
+    fans and the small caps make the caps cut piles short."""
     edgeless = no_vertices = with_edges = 0
-    for d in _long_rail_corpus(2000, seed=97):
+    fans = [tl.star_fan_drawing(n)[1] for n in range(1, 25)]
+    for d in _long_rail_corpus(2000, seed=97) + fans:
         ranks = len(d.order_a) + len(d.order_b)
         carried = len({x for e in d.graph.edges for x in e})
         edgeless += not d.graph.edges
@@ -581,7 +601,7 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
             for t in range(1, 5):
                 got = tl.st_crossing_exists(d, s, t)
                 assert got == ref_st_crossing_exists(d, tables, s, t), (d, s, t)
-        for s_cap, t_cap in ((16, 16), (3, 2)):
+        for s_cap, t_cap in ((16, 16), (3, 2), (1, 1), (1, 4), (4, 1)):
             assert tl.analysis_report(d, s_cap, t_cap) == ref_analysis_report(
                 d, tables, s_cap, t_cap
             ), (d, s_cap, t_cap)
@@ -590,14 +610,14 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
     assert with_edges > 1500 and edgeless > 100 and no_vertices == 1
 
     # A drawing with fewer than s + t edges has no (s,t) pattern and needs no
-    # split tables, but s or t below 1 and an edge count above the cap still
+    # split scan, but s or t below 1 and an edge count above the cap still
     # raise first.
     from twolayer import analysis
 
-    def no_tables(*args):
-        raise AssertionError("split tables built")
+    def no_scan(*args):
+        raise AssertionError("split scan run")
 
-    monkeypatch.setattr(analysis, "_rising_table", no_tables)
+    monkeypatch.setattr(analysis, "_st_splits", no_scan)
     for d in _long_rail_corpus(200, seed=98):
         m = len(d.graph.edges)
         tables = ref_quadrant_tables(d)

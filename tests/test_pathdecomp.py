@@ -394,6 +394,17 @@ def test_normalize_idempotent_when_already_unique():
     assert tl.normalize_unique_intro(pd) == pd
 
 
+def test_normalize_returns_an_order_decomposition_itself():
+    """A vertex order gives one new vertex per bag, so there is nothing to
+    stage and the decomposition comes back as the very same object."""
+    rng = random.Random(7)
+    for g in (tl.grid_graph(3)[0], tl.star_fan_drawing(6)[0]):
+        order = sorted(g.vertices)
+        rng.shuffle(order)
+        pd = tl.order_to_decomposition(g, order)
+        assert tl.normalize_unique_intro(pd) is pd
+
+
 def test_normalize_rejects_non_contiguous_input():
     pd = PathDecomposition((("v",), ("u",), ("v",)))
     with pytest.raises(DecompositionError):
