@@ -16,10 +16,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, CertificateError, GraphError
-from .graphs import Edge, TwoLayerDrawing
-
-DEFAULT_ST_EDGE_CAP = 5_000
-DEFAULT_PROFILE_CAP = 16
+from .graphs import DEFAULT_PROFILE_CAP, DEFAULT_ST_EDGE_CAP, Edge, TwoLayerDrawing
 
 
 def _coords_sorted(drawing: TwoLayerDrawing) -> list[tuple[int, int, Edge]]:

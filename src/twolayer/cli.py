@@ -13,18 +13,13 @@ import json
 import sys
 from typing import Callable
 
-from . import render
-from .analysis import (
-    DEFAULT_PROFILE_CAP,
-    DEFAULT_ST_EDGE_CAP,
-    analysis_report,
-)
-from .decompose import certificate_to_json, decompose_drawing
 from .errors import CapExceededError, GraphError, TwoLayerError
-from .fuzz import ALL_CHECKS, FuzzConfig, report_to_json, run_fuzz
 from .graphs import (
     DEFAULT_GRID_SIDE_CAP,
+    DEFAULT_PATHWIDTH_CAP,
+    DEFAULT_PROFILE_CAP,
     DEFAULT_RANDOM_SIDE_CAP,
+    DEFAULT_ST_EDGE_CAP,
     DEFAULT_STAR_CAP,
     DEFAULT_TREE_HEIGHT_CAP,
     BipartiteGraph,
@@ -38,15 +33,6 @@ from .graphs import (
     random_drawing,
     star_fan_drawing,
     subdivided_star,
-)
-from .layout import layout_certificate_to_json, layout_decomposition
-from .pathdecomp import (
-    DEFAULT_PATHWIDTH_CAP,
-    decomposition_from_json,
-    decomposition_to_json,
-    order_to_decomposition,
-    pathwidth_exact,
-    validate_decomposition,
 )
 
 
@@ -91,23 +77,29 @@ def _int_from(low: int) -> Callable[[str], int]:
 # ===================================================================
 # subcommand handlers
 # ===================================================================
+# Each handler imports the modules it runs, so a command loads no others.
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "tree":
-        _, payload = complete_binary_tree(args.height, cap=args.cap_n)
-    elif args.family == "grid":
-        _, payload = grid_graph(args.side, cap=args.cap_n)
-    elif args.family == "star" and args.fan:
-        _, payload = star_fan_drawing(args.legs, cap=args.cap_n)
-    elif args.family == "star":
-        payload = subdivided_star(args.legs, cap=args.cap_n)
-    else:  # random
-        _, payload = random_drawing(args.na, args.nb, args.p, args.seed, cap=args.cap_n)
+    try:
+        if args.family == "tree":
+            _, payload = complete_binary_tree(args.height, cap=args.cap_n)
+        elif args.family == "grid":
+            _, payload = grid_graph(args.side, cap=args.cap_n)
+        elif args.family == "star" and args.fan:
+            _, payload = star_fan_drawing(args.legs, cap=args.cap_n)
+        elif args.family == "star":
+            payload = subdivided_star(args.legs, cap=args.cap_n)
+        else:  # random
+            _, payload = random_drawing(args.na, args.nb, args.p, args.seed, cap=args.cap_n)
+    except GraphError as exc:  # the generators check the argument domains
+        return _usage(str(exc))
 
     if args.format == "svg":
         if isinstance(payload, BipartiteGraph):
             return _usage("cannot render a bare graph; use --fan for a drawing")
-        _write(args.out, render.render_drawing(payload))
+        from .render import render_drawing
+
+        _write(args.out, render_drawing(payload))
         return 0
     if isinstance(payload, TwoLayerDrawing):
         _write(args.out, drawing_to_json(payload))
@@ -117,6 +109,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import analysis_report
+
     drawing = drawing_from_json(_read(args.infile))
     report = analysis_report(
         drawing, s_cap=args.cap_st, t_cap=args.cap_st, edge_cap=args.cap_edges
@@ -126,6 +120,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .decompose import certificate_to_json, decompose_drawing
+    from .pathdecomp import decomposition_to_json
+
     drawing = drawing_from_json(_read(args.infile))
     pd, cert = decompose_drawing(
         drawing, s_cap=args.cap_st, t_cap=args.cap_st, edge_cap=args.cap_edges
@@ -137,6 +134,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
+    from .layout import layout_certificate_to_json, layout_decomposition
+    from .pathdecomp import decomposition_from_json
+
     pd = decomposition_from_json(_read(args.infile))
     graph = graph_from_json(_read(args.graph))
     drawing, cert = layout_decomposition(graph, pd, edge_cap=args.cap_edges)
@@ -147,6 +147,8 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 
 
 def _cmd_pathwidth(args: argparse.Namespace) -> int:
+    from .pathdecomp import order_to_decomposition, pathwidth_exact
+
     graph = graph_from_json(_read(args.infile))
     pw, order = pathwidth_exact(graph, cap=args.cap_n)
     pd = order_to_decomposition(graph, order)
@@ -160,6 +162,8 @@ def _cmd_pathwidth(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_pd(args: argparse.Namespace) -> int:
+    from .pathdecomp import decomposition_from_json, validate_decomposition
+
     pd = decomposition_from_json(_read(args.infile))
     graph = graph_from_json(_read(args.graph))
     violations = validate_decomposition(graph, pd)
@@ -182,6 +186,8 @@ def _cmd_check_pd(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from .fuzz import ALL_CHECKS, FuzzConfig, report_to_json, run_fuzz
+
     try:
         config = FuzzConfig(
             trials=args.trials,
@@ -200,15 +206,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .pathdecomp import decomposition_from_json
+    from .render import render_decomposition, render_drawing
+
     text = _read(args.infile)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid JSON: {exc}") from None
     if isinstance(data, dict) and "bags" in data:
-        svg = render.render_decomposition(decomposition_from_json(text))
+        svg = render_decomposition(decomposition_from_json(text))
     else:
-        svg = render.render_drawing(drawing_from_json(text))
+        svg = render_drawing(drawing_from_json(text))
     _write(args.out, svg)
     return 0
 
@@ -299,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--p-min", type=float, default=0.0)
     fz.add_argument("--p-max", type=float, default=1.0)
     fz.add_argument(
-        "--checks", default=None, help=f"comma list from {','.join(ALL_CHECKS)}"
+        "--checks",
+        default=None,
+        help="comma list from decompose,audit,layout,counting,per-edge",
     )
     fz.add_argument(
         "--invert",

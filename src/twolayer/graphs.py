@@ -25,11 +25,15 @@ from .errors import (
 Edge = tuple[str, str]
 
 # Size caps.  All are per-call overridable; they exist to turn accidental
-# blow-ups into loud errors rather than hangs.
+# blow-ups into loud errors rather than hangs.  The CLI's defaults are these,
+# so its parser needs no other module.
 DEFAULT_TREE_HEIGHT_CAP = 10
 DEFAULT_GRID_SIDE_CAP = 10
 DEFAULT_STAR_CAP = 10_000
 DEFAULT_RANDOM_SIDE_CAP = 10_000
+DEFAULT_ST_EDGE_CAP = 5_000  # analysis: edges in an (s,t) search
+DEFAULT_PROFILE_CAP = 16  # analysis: s and t of the (s,t) profile
+DEFAULT_PATHWIDTH_CAP = 20  # pathdecomp: vertices for exact pathwidth
 
 
 # ===================================================================

@@ -16,9 +16,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
-from .graphs import BipartiteGraph, Edge
-
-DEFAULT_PATHWIDTH_CAP = 20
+from .graphs import DEFAULT_PATHWIDTH_CAP, BipartiteGraph, Edge
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,12 @@ listed.  Identical inputs give byte-identical documents.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .graphs import TwoLayerDrawing
-from .pathdecomp import PathDecomposition
+
+if TYPE_CHECKING:  # an annotation only, so `gen --format svg` skips pathdecomp
+    from .pathdecomp import PathDecomposition
 
 X_STEP = 40
 RAIL_A_Y = 0

@@ -57,6 +57,27 @@ def test_gen_svg_needs_a_drawing(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("random", "--na", "-1", "--nb", "2", "--p", "0.5"), 2, "side sizes must be >= 0"),
+        (("random", "--na", "2", "--nb", "2", "--p", "1.5"), 2, "edge probability"),
+        (("random", "--na", "2", "--nb", "2", "--p", "nan"), 2, "edge probability"),
+        (("random", "--na", "2", "--nb", "2", "--p", "inf"), 2, "edge probability"),
+        (("tree", "--height", "-1"), 2, "height must be >= 0"),
+        (("grid", "--side", "0"), 2, "grid side must be >= 1"),
+        (("star", "--legs", "0"), 2, "star needs at least one leg"),
+        (("tree", "--height", "11"), 3, "exceeds cap 10"),
+    ],
+)
+def test_gen_domain_errors_are_usage_errors(capsys, argv, code, message):
+    """Arguments outside a generator's domain exit 2; a size over its cap
+    still exits 3."""
+    got, out, err = run(capsys, "gen", *argv)
+    assert got == code
+    assert out == "" and err.startswith("error: ") and message in err
+
+
 def test_gen_cap_exceeded_is_exit_3(capsys):
     code, _, _ = run(capsys, "gen", "tree", "--height", "99")
     assert code == 3
@@ -206,6 +227,38 @@ def test_fuzz_subcommand(capsys):
     rep = json.loads(out)
     assert rep["trials"] == 20
     assert all(s["failed"] == 0 for s in rep["checks"].values())
+
+
+FUZZ_HELP = """\
+usage: twolayer fuzz [-h] [--trials TRIALS] [--seed SEED] [--na-max NA_MAX]
+                     [--nb-max NB_MAX] [--p-min P_MIN] [--p-max P_MAX]
+                     [--checks CHECKS] [--invert INVERT] [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --trials TRIALS
+  --seed SEED
+  --na-max NA_MAX
+  --nb-max NB_MAX
+  --p-min P_MIN
+  --p-max P_MAX
+  --checks CHECKS  comma list from decompose,audit,layout,counting,per-edge
+  --invert INVERT  negate one check's verdict (harness self-test)
+  --out OUT
+"""
+
+
+def test_fuzz_help_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "fuzz", "--help") == (0, FUZZ_HELP, "")
+
+
+def test_fuzz_help_names_every_check(capsys):
+    """The parser spells the check names out so that it need not import
+    fuzz; they must stay equal to fuzz.ALL_CHECKS."""
+    _, out, _ = run(capsys, "fuzz", "--help")
+    listed = out.split("comma list from ")[1].split()[0]
+    assert tuple(listed.split(",")) == tl.ALL_CHECKS
 
 
 def test_fuzz_check_selection(capsys):

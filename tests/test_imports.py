@@ -1,0 +1,140 @@
+"""Import structure: the lazy top-level names, the modules each CLI command
+loads, and that every module imports on its own."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import twolayer as tl
+
+PACKAGE_DIR = Path(tl.__file__).parent
+
+# `twolayer.__all__` before its names became lazy.  It also listed the
+# submodules, which `import *` no longer binds.
+PREVIOUS_ALL = [
+    "ALL_CHECKS", "AuditReport", "AuditViolation", "BagContradiction",
+    "BipartiteGraph", "CapExceededError", "CertificateError", "ChainCover",
+    "CheckStats", "ConnectivityError", "CountingBoundReport", "CrossingWitness",
+    "DecompositionCertificate", "DecompositionError", "Edge", "FailureDump",
+    "FuzzConfig", "FuzzReport", "GraphError", "LayoutCertificate",
+    "NotCaterpillarError", "PathDecomposition", "TwoLayerDrawing",
+    "TwoLayerError", "Violation", "analysis", "analysis_report",
+    "audit_counting_bounds", "bipartition_from_edges", "caterpillar_layout",
+    "certificate_bags", "certificate_to_json", "check_counting_bound",
+    "complete_binary_tree", "connected_components", "crossed_runs",
+    "crossings_per_edge", "decompose", "decompose_drawing",
+    "decomposition_from_json", "decomposition_to_json", "drawing_from_json",
+    "drawing_to_json", "drop_isolated_a", "edges_cross", "errors",
+    "explain_oversized_bag", "fuzz", "graph_from_json", "graph_to_json",
+    "graphs", "grid_graph", "intro_intervals", "is_caterpillar", "is_connected",
+    "layout", "layout_certificate_to_json", "layout_decomposition",
+    "max_crossing_set", "maximal_noncrossing_matching",
+    "maximum_noncrossing_matching", "min_chain_cover", "minimal_unachievable",
+    "normalize_unique_intro", "order_to_decomposition", "pathdecomp",
+    "pathwidth_exact", "random_drawing", "render", "render_decomposition",
+    "render_drawing", "replay_failure", "report_to_json", "run_fuzz",
+    "st_crossing_exists", "st_profile", "star_fan_drawing", "subdivided_star",
+    "validate_decomposition", "width_bound",
+]
+SUBMODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if not p.stem.startswith("_"))
+
+
+def fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def loaded_after(code: str, cwd: Path) -> list[str]:
+    """The twolayer modules a fresh interpreter holds after running code."""
+    proc = fresh_python(
+        code + "\nprint(sorted(m for m in sys.modules if m.startswith('twolayer')))",
+        cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+# ----------------------------------------------------------- public API
+
+def test_public_api_is_unchanged(monkeypatch):
+    assert tl.__all__ == [n for n in PREVIOUS_ALL if n not in SUBMODULES]
+    for name in PREVIOUS_ALL:
+        # Drop any binding so that both lookups go through __getattr__.
+        monkeypatch.delattr(tl, name, raising=False)
+        namespace = {}
+        exec(f"from twolayer import {name}", namespace)
+        assert namespace[name] is getattr(tl, name)
+        if name in SUBMODULES:
+            assert namespace[name] is sys.modules[f"twolayer.{name}"]
+    namespace = {}
+    exec("from twolayer import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == tl.__all__
+
+
+def test_unknown_top_level_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tl.no_such_name
+    assert not hasattr(tl, "brute_max_crossing_set")
+    with pytest.raises(ImportError):
+        exec("from twolayer import no_such_name", {})
+
+
+# ------------------------------------------------------- import structure
+
+def test_import_twolayer_loads_no_submodule(tmp_path):
+    assert loaded_after("import sys, twolayer", tmp_path) == ["twolayer"]
+    # A submodule attribute loads that submodule and what it imports.
+    assert loaded_after("import sys, twolayer\ntwolayer.render", tmp_path) == [
+        "twolayer", "twolayer.errors", "twolayer.graphs", "twolayer.render"
+    ]
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_module_imports_on_its_own(tmp_path, module):
+    """A cycle between modules would fail here for the one imported first,
+    where the lazy imports could hide it until some command ran."""
+    proc = fresh_python(f"import twolayer.{module}", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+BASE = ["twolayer", "twolayer.cli", "twolayer.errors", "twolayer.graphs"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["gen", "tree", "--height", "2"], []),
+        (["gen", "tree", "--height", "2", "--format", "svg"], ["render"]),
+        (["analyze", "--in", "d.json"], ["analysis"]),
+        (["decompose", "--in", "d.json"], ["analysis", "decompose", "pathdecomp"]),
+        (["layout", "--in", "pd.json", "--graph", "g.json"],
+         ["analysis", "layout", "pathdecomp"]),
+        (["pathwidth", "--in", "g.json"], ["pathdecomp"]),
+        (["check-pd", "--in", "pd.json", "--graph", "g.json"], ["pathdecomp"]),
+        (["render", "--in", "pd.json"], ["pathdecomp", "render"]),
+        (["render", "--in", "d.json"], ["pathdecomp", "render"]),
+        (["fuzz", "--trials", "2"],
+         ["analysis", "decompose", "fuzz", "layout", "pathdecomp"]),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    graph, drawing = tl.complete_binary_tree(2)
+    (tmp_path / "d.json").write_text(tl.drawing_to_json(drawing))
+    (tmp_path / "g.json").write_text(tl.graph_to_json(graph))
+    pd, _ = tl.decompose_drawing(drawing)
+    (tmp_path / "pd.json").write_text(tl.decomposition_to_json(pd))
+    code = (
+        "import sys\nfrom twolayer.cli import main\n"
+        f"assert main({json.dumps([*argv, '--out', 'out.txt'])}) == 0"
+    )
+    expected = sorted(BASE + [f"twolayer.{m}" for m in extra])
+    assert loaded_after(code, tmp_path) == expected
+    assert (tmp_path / "out.txt").stat().st_size > 0
