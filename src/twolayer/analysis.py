@@ -357,7 +357,8 @@ def _st_splits(
     points left of p, and b from one sweep up them, over the points right
     of p.  A sweep adds one column's points in decreasing key order, so no
     chain holds two of them, and keeps no pile past the larger cap: such
-    piles never affect earlier ones."""
+    piles never affect earlier ones.  The caps are separate because
+    st_crossing_exists(s, t) caps each side at its own size."""
     edges = _st_search_edges(drawing, s_cap, t_cap, edge_cap)
     pa, pb = drawing.pos_a, drawing.pos_b
     xs = sorted({0, *(pa[u] for u, _ in edges)})
@@ -446,16 +447,16 @@ def _pareto_max(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
 
 def st_profile(
     drawing: TwoLayerDrawing,
-    s_cap: int = DEFAULT_PROFILE_CAP,
-    t_cap: int = DEFAULT_PROFILE_CAP,
+    st_cap: int = DEFAULT_PROFILE_CAP,
+    *,
     edge_cap: int = DEFAULT_ST_EDGE_CAP,
 ) -> tuple[tuple[int, int], ...]:
-    """Pareto frontier of the achievable (s,t) pairs, capped componentwise.
+    """Pareto frontier of the achievable (s,t) pairs, both capped at st_cap.
 
     Monotone by construction: any pair dominated by a frontier point is
     achievable by taking subsets of the frontier witness.
     """
-    return _pareto_max(_st_splits(drawing, s_cap, t_cap, edge_cap))
+    return _pareto_max(_st_splits(drawing, st_cap, st_cap, edge_cap))
 
 
 # ===================================================================
@@ -521,15 +522,15 @@ def check_counting_bound(
 
 def analysis_report(
     drawing: TwoLayerDrawing,
-    s_cap: int = DEFAULT_PROFILE_CAP,
-    t_cap: int = DEFAULT_PROFILE_CAP,
+    st_cap: int = DEFAULT_PROFILE_CAP,
+    *,
     edge_cap: int = DEFAULT_ST_EDGE_CAP,
 ) -> dict:
     """JSON-ready summary: max crossing set, per-edge maximum, (s,t)
     frontier, and re-verifiable witnesses for each."""
     k, kw = max_crossing_set(drawing)
     per_edge = crossings_per_edge(drawing)
-    splits = _st_splits(drawing, s_cap, t_cap, edge_cap)
+    splits = _st_splits(drawing, st_cap, st_cap, edge_cap)
     frontier = _pareto_max(splits)
     st_witnesses = []
     for s, t in frontier:

@@ -24,6 +24,8 @@ from .graphs import (
     DEFAULT_TREE_HEIGHT_CAP,
     BipartiteGraph,
     TwoLayerDrawing,
+    _drawing_from_object,
+    _load_object,
     complete_binary_tree,
     drawing_from_json,
     drawing_to_json,
@@ -112,9 +114,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import analysis_report
 
     drawing = drawing_from_json(_read(args.infile))
-    report = analysis_report(
-        drawing, s_cap=args.cap_st, t_cap=args.cap_st, edge_cap=args.cap_edges
-    )
+    report = analysis_report(drawing, st_cap=args.cap_st, edge_cap=args.cap_edges)
     _write(args.out, json.dumps(report, indent=2))
     return 0
 
@@ -124,9 +124,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     from .pathdecomp import decomposition_to_json
 
     drawing = drawing_from_json(_read(args.infile))
-    pd, cert = decompose_drawing(
-        drawing, s_cap=args.cap_st, t_cap=args.cap_st, edge_cap=args.cap_edges
-    )
+    pd, cert = decompose_drawing(drawing, st_cap=args.cap_st, edge_cap=args.cap_edges)
     _write(args.out, decomposition_to_json(pd))
     if args.cert:
         _write(args.cert, certificate_to_json(cert))
@@ -192,8 +190,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         config = FuzzConfig(
             trials=args.trials,
             seed=args.seed,
-            na_range=(0, args.na_max),
-            nb_range=(0, args.nb_max),
+            na_max=args.na_max,
+            nb_max=args.nb_max,
             p_range=(args.p_min, args.p_max),
             checks=tuple(args.checks.split(",")) if args.checks else ALL_CHECKS,
             invert_check=args.invert,
@@ -206,18 +204,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    from .pathdecomp import decomposition_from_json
+    from .pathdecomp import _decomposition_from_object
     from .render import render_decomposition, render_drawing
 
-    text = _read(args.infile)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"invalid JSON: {exc}") from None
-    if isinstance(data, dict) and "bags" in data:
-        svg = render_decomposition(decomposition_from_json(text))
+    data = _load_object(_read(args.infile))
+    if "bags" in data:
+        svg = render_decomposition(_decomposition_from_object(data))
     else:
-        svg = render_drawing(drawing_from_json(text))
+        svg = render_drawing(_drawing_from_object(data))
     _write(args.out, svg)
     return 0
 

@@ -22,6 +22,7 @@ from .analysis import (
     ChainCover,
     DEFAULT_PROFILE_CAP,
     DEFAULT_ST_EDGE_CAP,
+    _pareto_max,
     crossed_runs,
     maximal_noncrossing_matching,
     min_chain_cover,
@@ -45,25 +46,14 @@ def width_bound(k: int, s: int, t: int) -> int:
 def minimal_unachievable(
     frontier: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, int], ...]:
-    """Componentwise-minimal (s,t) pairs just beyond a Pareto frontier of
-    achievable pairs.  An empty frontier (no crossing at all) yields (1,1)."""
-    pts = set(frontier)
-    if not pts:
-        return ((1, 1),)
-    smax = max(s for s, _ in pts)
-    candidates = []
-    for s in range(1, smax + 2):
-        tmax = max((t for fs, t in pts if fs >= s), default=0)
-        candidates.append((s, tmax + 1))
-    return tuple(
-        sorted(
-            c
-            for c in candidates
-            if not any(
-                d != c and d[0] <= c[0] and d[1] <= c[1] for d in candidates
-            )
-        )
-    )
+    """Componentwise-minimal (s,t) pairs just beyond a frontier of achievable
+    pairs: the inner corners of its staircase, from (1, t_1 + 1) through
+    (s_i + 1, t_{i+1} + 1) to (s_last + 1, 1).  An empty frontier (no
+    crossing at all) yields (1,1)."""
+    front = _pareto_max(frontier)
+    s_side = [0] + [s for s, _ in front]
+    t_side = [t for _, t in front] + [0]
+    return tuple((s + 1, t + 1) for s, t in zip(s_side, t_side))
 
 
 @dataclass(frozen=True)
@@ -82,8 +72,7 @@ class DecompositionCertificate:
     unachievable: tuple[tuple[int, int], ...]
     frontier_exact: bool
     width_bound: int
-    s_cap: int
-    t_cap: int
+    st_cap: int
 
 
 def _gap_classes(
@@ -118,9 +107,12 @@ def _build_bags(
     matching: Sequence[Edge],
     gaps: Sequence[Sequence[str]],
     cover: ChainCover,
-) -> tuple[list[set[str]], list[tuple[str, ...]], list[BagTag]]:
+) -> tuple[
+    dict[Edge, tuple[int, int]], list[set[str]], list[tuple[str, ...]], list[BagTag]
+]:
     """Recompute the V_i sets and the full bag sequence from certificate
-    parts.  Returns (v_sets indexed 0..n+1 with empty sentinels, bags, tags).
+    parts.  Returns (the matching's crossed_runs, v_sets indexed 0..n+1
+    with empty sentinels, bags, tags).
     """
     n = len(matching)
     k = len(cover.chains)
@@ -147,21 +139,21 @@ def _build_bags(
             bag = v_sets[i] | v_sets[i + 1] | set(nplus(v))
             bags.append(tuple(sorted(bag)))
             tags.append(("Vij", i, j))
-    return v_sets, bags, tags
+    return runs, v_sets, bags, tags
 
 
 def decompose_drawing(
     drawing: TwoLayerDrawing,
-    s_cap: int = DEFAULT_PROFILE_CAP,
-    t_cap: int = DEFAULT_PROFILE_CAP,
+    st_cap: int = DEFAULT_PROFILE_CAP,
+    *,
     edge_cap: int = DEFAULT_ST_EDGE_CAP,
 ) -> tuple[PathDecomposition, DecompositionCertificate]:
     """Decompose any drawing; the result always validates.
 
     The certificate's width_bound is the tightest width_bound(max(k,1), s, t)
     over the minimal (s,t) pairs the drawing does not realize; it is a true
-    bound on the returned width whenever frontier_exact holds (caps at least
-    the smaller side size).
+    bound on the returned width whenever frontier_exact holds (st_cap at
+    least the smaller side size).
     """
     cover = min_chain_cover(drawing)
     k = len(cover.chains)
@@ -180,7 +172,7 @@ def decompose_drawing(
         if iu is not None and iu == gap_index.get(v):
             raise CertificateError(f"edge {u, v} inside gap class {iu}")
 
-    _, bags, tags = _build_bags(drawing, matching, gaps, cover)
+    _, _, bags, tags = _build_bags(drawing, matching, gaps, cover)
     pd = PathDecomposition(tuple(bags))
     violations = validate_decomposition(drawing.graph, pd)
     if violations:
@@ -189,11 +181,9 @@ def decompose_drawing(
             + "; ".join(v.describe() for v in violations)
         )
 
-    frontier = st_profile(drawing, s_cap, t_cap, edge_cap)
+    frontier = st_profile(drawing, st_cap, edge_cap=edge_cap)
     unachievable = minimal_unachievable(frontier)
-    frontier_exact = min(len(drawing.order_a), len(drawing.order_b)) <= min(
-        s_cap, t_cap
-    )
+    frontier_exact = min(len(drawing.order_a), len(drawing.order_b)) <= st_cap
     bound = min(width_bound(max(k, 1), s, t) for s, t in unachievable)
     cert = DecompositionCertificate(
         k=k,
@@ -205,8 +195,7 @@ def decompose_drawing(
         unachievable=unachievable,
         frontier_exact=frontier_exact,
         width_bound=bound,
-        s_cap=s_cap,
-        t_cap=t_cap,
+        st_cap=st_cap,
     )
     return pd, cert
 
@@ -216,7 +205,7 @@ def certificate_bags(
 ) -> tuple[tuple[str, ...], ...]:
     """Rebuild the bag sequence from certificate components alone; must
     reproduce decompose_drawing's output exactly."""
-    _, bags, tags = _build_bags(drawing, cert.matching, cert.gaps, cert.cover)
+    _, _, bags, tags = _build_bags(drawing, cert.matching, cert.gaps, cert.cover)
     if tuple(tags) != cert.per_bag:
         raise CertificateError("certificate per-bag tags do not match the rebuilt bags")
     return tuple(bags)
@@ -263,10 +252,11 @@ def audit_counting_bounds(
     if n == 0:
         return AuditReport(cert.k, 0, cert.unachievable, (), vacuous=True)
     k = cert.k
-    v_sets, bags, tags = _build_bags(drawing, cert.matching, cert.gaps, cert.cover)
+    crossed, v_sets, bags, tags = _build_bags(
+        drawing, cert.matching, cert.gaps, cert.cover
+    )
     violations: list[AuditViolation] = []
 
-    crossed = crossed_runs(drawing, cert.matching)
     runs: list[tuple[str, int, int]] = []
     for f, (_tail, head) in cert.cover.arcs.items():
         lo, hi = crossed[f]
@@ -337,7 +327,7 @@ def certificate_to_json(cert: DecompositionCertificate) -> str:
         "unachievable": [[s, t] for s, t in cert.unachievable],
         "frontierExact": cert.frontier_exact,
         "widthBound": cert.width_bound,
-        "sCap": cert.s_cap,
-        "tCap": cert.t_cap,
+        "sCap": cert.st_cap,
+        "tCap": cert.st_cap,
     }
     return json.dumps(payload, indent=2)

@@ -40,10 +40,9 @@ from .layout import layout_decomposition
 from .pathdecomp import order_to_decomposition, pathwidth_exact
 
 ALL_CHECKS = ("decompose", "audit", "layout", "counting", "per-edge")
-# Largest graph whose exact pathwidth the layout check computes, and the
-# largest the per-edge check uses; raising either changes the report bytes.
-LAYOUT_VERTEX_CAP = 14
-PER_EDGE_VERTEX_CAP = 12
+# Largest graph whose exact pathwidth the layout and per-edge checks use;
+# raising it changes the report bytes.
+EXACT_VERTEX_CAP = 14
 
 _TRIAL_STRIDE = 1_000_003  # prime; keeps per-trial seeds distinct across seeds
 
@@ -52,8 +51,8 @@ _TRIAL_STRIDE = 1_000_003  # prime; keeps per-trial seeds distinct across seeds
 class FuzzConfig:
     trials: int
     seed: int
-    na_range: tuple[int, int] = (0, 8)
-    nb_range: tuple[int, int] = (0, 8)
+    na_max: int = 8  # each trial draws between 0 and na_max A-vertices
+    nb_max: int = 8
     p_range: tuple[float, float] = (0.0, 1.0)
     checks: tuple[str, ...] = ALL_CHECKS
     invert_check: str | None = None  # test hook: negate this check's verdict
@@ -66,9 +65,9 @@ class FuzzConfig:
             raise GraphError(f"unknown checks: {', '.join(unknown)}")
         if self.trials < 0:
             raise GraphError("trials must be >= 0")
-        for name, (low, high) in (("na", self.na_range), ("nb", self.nb_range)):
-            if not 0 <= low <= high:
-                raise GraphError(f"{name}_range must satisfy 0 <= low <= high")
+        for name, high in (("na_max", self.na_max), ("nb_max", self.nb_max)):
+            if high < 0:
+                raise GraphError(f"{name} must be >= 0")
         if not 0.0 <= self.p_range[0] <= self.p_range[1] <= 1.0:
             raise GraphError("p_range must satisfy 0 <= low <= high <= 1")
 
@@ -109,8 +108,8 @@ class FuzzReport:
 def _trial_drawing(config: FuzzConfig, trial: int) -> tuple[int, TwoLayerDrawing]:
     trial_seed = config.seed * _TRIAL_STRIDE + trial
     rng = random.Random(trial_seed)
-    na = rng.randint(*config.na_range)
-    nb = rng.randint(*config.nb_range)
+    na = rng.randint(0, config.na_max)
+    nb = rng.randint(0, config.nb_max)
     p = rng.uniform(*config.p_range)
     _, drawing = random_drawing(na, nb, p, seed=rng.randrange(1 << 62))
     return trial_seed, drawing
@@ -120,12 +119,12 @@ def _trial_drawing(config: FuzzConfig, trial: int) -> tuple[int, TwoLayerDrawing
 class _Trial:
     """A trial's drawing and the results that its checks share, each computed
     on first use: decompose and audit read one decomposition, layout and
-    per-edge one exact pathwidth (the same under either check's cap)."""
+    per-edge one exact pathwidth."""
 
     drawing: TwoLayerDrawing
     decomposition = cached_property(lambda self: decompose_drawing(self.drawing))
     pathwidth = cached_property(
-        lambda self: pathwidth_exact(self.drawing.graph, cap=LAYOUT_VERTEX_CAP)
+        lambda self: pathwidth_exact(self.drawing.graph, cap=EXACT_VERTEX_CAP)
     )
 
 
@@ -150,7 +149,7 @@ def _run_check(
         return False, f"counting violations: {report.violations}", cert
 
     if check == "layout":
-        if not graph.vertices or len(graph.vertices) > LAYOUT_VERTEX_CAP:
+        if not graph.vertices or len(graph.vertices) > EXACT_VERTEX_CAP:
             return None, "skipped: size out of range", None
         _, order = trial.pathwidth
         pd = order_to_decomposition(graph, order)
@@ -176,7 +175,7 @@ def _run_check(
         return report.hypotheses_ok and report.holds, detail, None
 
     if check == "per-edge":
-        if not graph.vertices or len(graph.vertices) > PER_EDGE_VERTEX_CAP:
+        if not graph.vertices or len(graph.vertices) > EXACT_VERTEX_CAP:
             return None, "skipped: size out of range", None
         c = max(crossings_per_edge(drawing).values(), default=0)
         pw, _ = trial.pathwidth

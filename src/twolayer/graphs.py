@@ -428,7 +428,10 @@ def drawing_to_json(drawing: TwoLayerDrawing) -> str:
 
 
 def drawing_from_json(text: str) -> TwoLayerDrawing:
-    data = _load_object(text)
+    return _drawing_from_object(_load_object(text))
+
+
+def _drawing_from_object(data: dict) -> TwoLayerDrawing:
     for key in ("a", "b", "edges", "orderA", "orderB"):
         if key not in data:
             raise GraphError(f"drawing JSON missing key '{key}'")

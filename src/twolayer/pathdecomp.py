@@ -306,6 +306,10 @@ def decomposition_from_json(text: str) -> PathDecomposition:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DecompositionError(f"invalid JSON: {exc}") from None
+    return _decomposition_from_object(data)
+
+
+def _decomposition_from_object(data: object) -> PathDecomposition:
     if not isinstance(data, dict) or "bags" not in data:
         raise DecompositionError("decomposition JSON must have a 'bags' key")
     bags = data["bags"]

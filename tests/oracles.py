@@ -1,8 +1,9 @@
 """Brute-force oracles that the tests compare the library against.
 
-Each one enumerates subsets or vertex orderings, so each refuses inputs
-above a small cap with CapExceededError.  The last two are the library's
-former exact-pathwidth DP and order-to-bags conversion, kept as references.
+Those that enumerate subsets or vertex orderings refuse inputs above a
+small cap with CapExceededError.  The last three are the library's former
+exact-pathwidth DP, order-to-bags conversion and minimal-unachievable
+filter, kept as references.
 """
 
 from itertools import combinations, permutations
@@ -175,3 +176,26 @@ def naive_order_to_decomposition(
         bags.append(tuple(sorted(bag)))
         placed.add(v)
     return tl.PathDecomposition(tuple(bags))
+
+
+def naive_minimal_unachievable(frontier):
+    """Counterpart of tl.minimal_unachievable: for each s up to one past the
+    largest, the least t beyond every achievable pair with at least that s,
+    then an all-pairs filter down to the componentwise-minimal candidates."""
+    pts = set(frontier)
+    if not pts:
+        return ((1, 1),)
+    smax = max(s for s, _ in pts)
+    candidates = []
+    for s in range(1, smax + 2):
+        tmax = max((t for fs, t in pts if fs >= s), default=0)
+        candidates.append((s, tmax + 1))
+    return tuple(
+        sorted(
+            c
+            for c in candidates
+            if not any(
+                d != c and d[0] <= c[0] and d[1] <= c[1] for d in candidates
+            )
+        )
+    )

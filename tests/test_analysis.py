@@ -153,7 +153,7 @@ def test_witness_verify_matches_pairwise_oracle():
             tl.CrossingWitness("k", edges=part(kw.edges)),
             tl.CrossingWitness("st", s_edges=pick(3), t_edges=pick(3)),
         ]
-        for s, t in tl.st_profile(d, 3, 3):
+        for s, t in tl.st_profile(d, 3):
             w = tl.st_crossing_exists(d, s, t)
             witnesses.append(
                 tl.CrossingWitness("st", s_edges=part(w.s_edges), t_edges=part(w.t_edges))
@@ -413,7 +413,7 @@ def test_st_crossing_agrees_with_naive_search():
 
 def test_st_profile_is_pareto_maximal_and_achievable():
     for d in random_corpus(60, seed=43, max_side=5, max_edges=10):
-        profile = tl.st_profile(d, s_cap=4, t_cap=4)
+        profile = tl.st_profile(d, st_cap=4)
         for s, t in profile:
             assert naive_st_crossing_exists(d, s, t)
         for p, q in itertools.combinations(profile, 2):
@@ -432,8 +432,14 @@ def test_split_witness_raises_when_a_quadrant_is_too_small():
 
 
 def test_st_profile_respects_caps():
+    """One cap bounds s and t; the edge cap after it is keyword-only, so a
+    call with the former separate s and t caps fails instead of reading the
+    second as an edge cap."""
     d, _, _ = _parallel_bundles()
-    assert tl.st_profile(d, s_cap=2, t_cap=2) == ((2, 2),)
+    assert tl.st_profile(d, st_cap=2) == ((2, 2),)
+    for call in (tl.st_profile, tl.analysis_report, tl.decompose_drawing):
+        with pytest.raises(TypeError):
+            call(d, 2, 2)
 
 
 def test_st_profile_memory_is_linear_in_edges():
@@ -456,7 +462,7 @@ def test_st_profile_memory_is_linear_in_edges():
 @given(drawings(max_side=4, max_edges=8))
 @settings(max_examples=40, deadline=None)
 def test_st_profile_points_exist_property(d):
-    for s, t in tl.st_profile(d, s_cap=3, t_cap=3):
+    for s, t in tl.st_profile(d, st_cap=3):
         w = tl.st_crossing_exists(d, s, t)
         assert w is not None and w.verify(d)
 
@@ -585,7 +591,11 @@ def _long_rail_corpus(count, seed):
 def test_st_search_matches_full_grid_reference(monkeypatch):
     """st_profile, every st_crossing_exists(s, t) witness with s, t <= 4 and
     analysis_report equal the uncompressed scan's, edge for edge.  The star
-    fans and the small caps make the caps cut piles short."""
+    fans and the small caps make the caps cut piles short.  The public calls
+    take one cap for both sides, so the split scan answers the asymmetric
+    caps directly."""
+    from twolayer import analysis
+
     edgeless = no_vertices = with_edges = 0
     fans = [tl.star_fan_drawing(n)[1] for n in range(1, 25)]
     for d in _long_rail_corpus(2000, seed=97) + fans:
@@ -596,15 +606,22 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
         with_edges += bool(d.graph.edges) and carried < ranks
         tables = ref_quadrant_tables(d)
         assert tl.st_profile(d) == ref_st_profile(tables, 16, 16), d
-        assert tl.st_profile(d, s_cap=2, t_cap=3) == ref_st_profile(tables, 2, 3), d
+        assert tl.st_profile(d, st_cap=2) == ref_st_profile(tables, 2, 2), d
         for s in range(1, 5):
             for t in range(1, 5):
                 got = tl.st_crossing_exists(d, s, t)
                 assert got == ref_st_crossing_exists(d, tables, s, t), (d, s, t)
-        for s_cap, t_cap in ((16, 16), (3, 2), (1, 1), (1, 4), (4, 1)):
-            assert tl.analysis_report(d, s_cap, t_cap) == ref_analysis_report(
-                d, tables, s_cap, t_cap
-            ), (d, s_cap, t_cap)
+        for st_cap in (16, 3, 1):
+            assert tl.analysis_report(d, st_cap) == ref_analysis_report(
+                d, tables, st_cap, st_cap
+            ), (d, st_cap)
+        for s_cap, t_cap in ((2, 3), (3, 2), (1, 4), (4, 1)):
+            splits = analysis._st_splits(d, s_cap, t_cap, analysis.DEFAULT_ST_EDGE_CAP)
+            frontier = analysis._pareto_max(splits)
+            assert frontier == ref_st_profile(tables, s_cap, t_cap), (d, s_cap, t_cap)
+            for s, t in frontier:
+                got = analysis._st_witness(d, splits[(s, t)], s, t)
+                assert got == ref_st_crossing_exists(d, tables, s, t), (d, s, t)
     # drawings with edges and edgeless ranks, edgeless drawings and one
     # drawing without vertices all occur
     assert with_edges > 1500 and edgeless > 100 and no_vertices == 1
@@ -612,8 +629,6 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
     # A drawing with fewer than s + t edges has no (s,t) pattern and needs no
     # split scan, but s or t below 1 and an edge count above the cap still
     # raise first.
-    from twolayer import analysis
-
     def no_scan(*args):
         raise AssertionError("split scan run")
 

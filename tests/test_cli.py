@@ -204,9 +204,17 @@ def test_pathwidth_cap_is_exit_3(capsys, tmp_path):
 
 # ----------------------------------------------------------------- render
 
-def test_render_dispatches_on_payload(capsys, tmp_path, tree_drawing_file):
+def test_render_dispatches_on_payload(
+    capsys, monkeypatch, tmp_path, tree_drawing_file
+):
+    """Either payload kind is parsed once: the parse that picks the kind
+    also feeds the renderer."""
+    parses = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: parses.append(1) or real(text))
     code, out, _ = run(capsys, "render", "--in", str(tree_drawing_file))
     assert code == 0 and out.startswith("<svg")
+    assert len(parses) == 1
 
     pd_path = tmp_path / "pd.json"
     pd_path.write_text(
@@ -214,6 +222,7 @@ def test_render_dispatches_on_payload(capsys, tmp_path, tree_drawing_file):
     )
     code, out, _ = run(capsys, "render", "--in", str(pd_path))
     assert code == 0 and "<rect" in out
+    assert len(parses) == 2
 
     code, _, err = run(capsys, "render", "--in", str(pd_path), "--format", "json")
     assert code == 2 and "error" in err

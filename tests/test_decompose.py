@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ import twolayer as tl
 from twolayer import BipartiteGraph, GraphError, TwoLayerDrawing
 
 from conftest import random_corpus
+from oracles import naive_minimal_unachievable
 
 
 # ------------------------------------------------------------ width bound
@@ -45,6 +47,17 @@ def test_minimal_unachievable_examples():
     assert tl.minimal_unachievable(((3, 4), (4, 3))) == ((1, 5), (4, 4), (5, 1))
     assert tl.minimal_unachievable(((1, 3), (3, 1))) == ((1, 4), (2, 2), (4, 1))
     assert tl.minimal_unachievable(((2, 2),)) == ((1, 3), (3, 1))
+
+
+def test_minimal_unachievable_matches_all_pairs_filter():
+    """The staircase corners equal the all-pairs dominance filter on random
+    point sets, dominated points and repeats included."""
+    rng = random.Random(61)
+    for _ in range(20000):
+        pts = [
+            (rng.randint(1, 8), rng.randint(1, 8)) for _ in range(rng.randint(0, 6))
+        ]
+        assert tl.minimal_unachievable(pts) == naive_minimal_unachievable(pts), pts
 
 
 def test_minimal_unachievable_points_are_incomparable():
@@ -134,8 +147,10 @@ def test_decompose_random_sweep_valid_and_bounded():
 
 def test_decompose_respects_caps_in_certificate():
     _, d = tl.complete_binary_tree(2)
-    _, cert = tl.decompose_drawing(d, s_cap=3, t_cap=2)
-    assert cert.s_cap == 3 and cert.t_cap == 2
+    _, cert = tl.decompose_drawing(d, st_cap=3)
+    assert cert.st_cap == 3
+    payload = json.loads(tl.certificate_to_json(cert))
+    assert payload["sCap"] == payload["tCap"] == 3
 
 
 # ------------------------------------------------------------------- audit
@@ -148,6 +163,22 @@ def test_audit_tree_certificate():
     assert rep.k == 2
     assert rep.points == ((1, 4), (2, 2), (4, 1))
     assert rep.violations == ()
+
+
+def test_audit_finds_the_crossed_runs_once(monkeypatch):
+    """The audit reads the runs the bag builder found; it does not find
+    them again on the same matching."""
+    from twolayer import decompose
+
+    _, d = tl.complete_binary_tree(3)
+    _, cert = tl.decompose_drawing(d)
+    calls = []
+    real = decompose.crossed_runs
+    monkeypatch.setattr(
+        decompose, "crossed_runs", lambda *args: calls.append(1) or real(*args)
+    )
+    assert tl.audit_counting_bounds(d, cert).ok
+    assert len(calls) == 1
 
 
 def test_audit_vacuous_without_matching_edges():
@@ -192,11 +223,11 @@ def test_invalid_construction_raises_certificate_error(monkeypatch, tmp_path, ca
     real = decompose._build_bags
 
     def drop_from_middle_bag(*args):
-        sets, bags, tags = real(*args)
+        runs, sets, bags, tags = real(*args)
         bags = list(bags)
         v = next(v for v in bags[1] if v in bags[0] and v in bags[2])
         bags[1] = tuple(u for u in bags[1] if u != v)
-        return sets, bags, tags
+        return runs, sets, bags, tags
 
     monkeypatch.setattr(decompose, "_build_bags", drop_from_middle_bag)
     drawing = tl.complete_binary_tree(3)[1]
@@ -254,8 +285,8 @@ def test_certificate_bags_rejects_mismatched_tags(monkeypatch):
     real = decompose._build_bags
 
     def drop_last_tag(*args):
-        sets, bags, tags = real(*args)
-        return sets, bags, tags[:-1]
+        runs, sets, bags, tags = real(*args)
+        return runs, sets, bags, tags[:-1]
 
     monkeypatch.setattr(decompose, "_build_bags", drop_last_tag)
     with pytest.raises(tl.CertificateError, match="per-bag tags"):

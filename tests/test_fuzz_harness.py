@@ -24,8 +24,8 @@ def test_config_validation():
         {"p_range": (0.9, 0.1)},
         {"p_range": (-0.5, 0.5)},
         {"p_range": (0.5, 1.5)},
-        {"na_range": (3, 1)},
-        {"nb_range": (-1, 2)},
+        {"na_max": -1},
+        {"nb_max": -1},
     ],
 )
 def test_config_rejects_out_of_domain_fields(field):
@@ -51,7 +51,26 @@ def test_hundred_trials_all_clean():
     # determinism golden for this seed: which trials each check skips is fixed
     assert rep.stats["layout"].skipped == 1
     assert rep.stats["counting"].skipped == 15
-    assert rep.stats["per-edge"].skipped == 9
+    assert rep.stats["per-edge"].skipped == 1
+
+
+def test_layout_and_per_edge_skip_the_same_trials(monkeypatch):
+    """Both checks read one exact pathwidth under one vertex cap, so neither
+    skips a trial the other runs."""
+    skipped = {"layout": [], "per-edge": []}
+    real = fuzz._run_check
+
+    def recorded(check, trial):
+        result = real(check, trial)
+        skipped[check].append(result[0] is None)
+        return result
+
+    monkeypatch.setattr(fuzz, "_run_check", recorded)
+    rep = tl.run_fuzz(FuzzConfig(trials=300, seed=7, checks=("layout", "per-edge")))
+    assert rep.ok
+    assert len(skipped["layout"]) == 300
+    assert skipped["layout"] == skipped["per-edge"]
+    assert 0 < sum(skipped["layout"]) < 300
 
 
 def test_fuzz_is_deterministic():
@@ -92,7 +111,7 @@ def test_failure_dump_round_trips_drawing():
     rep = tl.run_fuzz(config)
     for dump in rep.failures:
         d = tl.drawing_from_json(dump.drawing_json)
-        assert len(d.graph.vertices) <= fuzz.LAYOUT_VERTEX_CAP
+        assert len(d.graph.vertices) <= fuzz.EXACT_VERTEX_CAP
 
 
 def test_drop_isolated_a():
@@ -108,7 +127,7 @@ def test_drop_isolated_a():
 @pytest.mark.parametrize(
     "trials, invert, digest",
     [
-        (100, None, "90de8b94450837adc156646796b2e09e891717a52b696e56610d8fa06b58e059"),
+        (100, None, "a4657aae939a6f639ce20c96a06ec986c45e3a0ed1a92df11e1300cfbf78dd65"),
         (20, "decompose", "980bf91250d4fd25fe42303d0f28897b1f17ee3f5e4b317da03cdf8fe666131c"),
         (20, "audit", "4831b1ff9d21f4b5fbc21ec9197640af413baf75931585edfcbb32cbeb6960bd"),
         (20, "per-edge", "0e41ec54df7e9265a2e1076a0a5b9e18f54b915def685aa57a9fb157dfc2a9b1"),
@@ -136,11 +155,10 @@ def test_each_trial_decomposes_and_solves_pathwidth_once(monkeypatch):
         n = len(fuzz._trial_drawing(config, 0)[1].graph.vertices)
         calls.update(decompose_drawing=0, pathwidth_exact=0)
         assert tl.run_fuzz(config).ok
-        # the layout check needs the exact pathwidth up to its larger cap
-        exact = int(0 < n <= fuzz.LAYOUT_VERTEX_CAP)
+        exact = int(0 < n <= fuzz.EXACT_VERTEX_CAP)
         assert calls == {"decompose_drawing": 1, "pathwidth_exact": exact}, seed
-        solved += exact and n <= fuzz.PER_EDGE_VERTEX_CAP
-    assert solved > 10  # per-edge read the same pathwidth on these trials
+        solved += exact
+    assert solved > 10  # layout and per-edge read one pathwidth on these trials
 
 
 def test_crashing_check_becomes_replayable_failure(monkeypatch):
@@ -174,10 +192,10 @@ def test_invalid_construction_fails_the_decompose_check(monkeypatch):
     invalid = []  # per trial: is the construction without its last bag invalid
 
     def drop_last_bag(drawing, *args):
-        v_sets, bags, tags = real(drawing, *args)
+        runs, v_sets, bags, tags = real(drawing, *args)
         pd = tl.PathDecomposition(tuple(bags[:-1]))
         invalid.append(bool(tl.validate_decomposition(drawing.graph, pd)))
-        return v_sets, bags[:-1], tags
+        return runs, v_sets, bags[:-1], tags
 
     monkeypatch.setattr(decompose, "_build_bags", drop_last_bag)
     config = FuzzConfig(trials=30, seed=7, checks=("decompose",))
