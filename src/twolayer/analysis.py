@@ -330,6 +330,10 @@ def _rising_chain(items: Iterable[tuple[int, int, Edge]]) -> tuple[Edge, ...]:
 # (B-rank) of an edge that is <= p (<= q), or 0.  So the scan visits those
 # ranks plus 0, row by row, and its first split in row-major order that
 # reaches a pair is also the first real one.
+#
+# Crossing edges share no endpoint, and S and T are matchings, so S and T
+# together are a matching of s + t edges: no (s,t)-crossing exists unless
+# each rail has s + t distinct vertices that carry an edge.
 
 def _st_search_edges(
     drawing: TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap: int
@@ -347,11 +351,16 @@ def _st_splits(
     drawing: TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap: int
 ) -> dict[tuple[int, int], tuple[int, int, bool]]:
     """{capped (s,t) pair: first split (p, q, swapped) in row-major order
-    that realizes it}.  With a and b the largest strictly increasing
-    matchings in the quadrants posA <= p, posB > q and posA > p, posB <= q,
-    a split realizes (min(a, s_cap), min(b, t_cap)), with S in the first
-    quadrant, and swapped (min(b, s_cap), min(a, t_cap)), with S in the
-    second, if a, b >= 1.
+    that realizes it}, for every pair realized up to the split where
+    (s_cap, t_cap) first appears.  With a and b the largest strictly
+    increasing matchings in the quadrants posA <= p, posB > q and
+    posA > p, posB <= q, a split realizes (min(a, s_cap), min(b, t_cap)),
+    with S in the first quadrant, and swapped (min(b, s_cap), min(a, t_cap)),
+    with S in the second, if a, b >= 1.
+
+    The scan stops once (s_cap, t_cap) is in the map: that pair dominates
+    every capped pair, and its first split is fixed, so neither the Pareto
+    maximum nor the first split of a Pareto-maximal pair can change later.
 
     Row p takes a for every q from one sweep down the columns, over the
     points left of p, and b from one sweep up them, over the points right
@@ -369,7 +378,7 @@ def _st_splits(
     for u, v in sorted(edges, key=lambda e: pa[e[0]]):
         down[bisect.bisect_left(ys, pb[v])].append(-bisect.bisect_left(xs, pa[u]))
     up = [[-k for k in reversed(col)] for col in down]
-    cap = max(s_cap, t_cap)
+    cap, full = max(s_cap, t_cap), (s_cap, t_cap)
     splits: dict[tuple[int, int], tuple[int, int, bool]] = {}
     last_a = last_b = 0
     for p in range(1, len(xs)):
@@ -403,6 +412,8 @@ def _st_splits(
             last_a, last_b = a, b
             splits.setdefault((min(a, s_cap), min(b, t_cap)), (xs[p], q, False))
             splits.setdefault((min(b, s_cap), min(a, t_cap)), (xs[p], q, True))
+            if full in splits:
+                return splits
     return splits
 
 
@@ -429,8 +440,9 @@ def st_crossing_exists(
 ) -> CrossingWitness | None:
     """Witness for non-crossing matchings S, T (|S|=s, |T|=t) with every
     S-edge crossing every T-edge, or None if no such pair exists."""
-    if len(_st_search_edges(drawing, s, t, edge_cap)) < s + t:
-        return None  # disjoint S and T need s + t edges
+    edges = _st_search_edges(drawing, s, t, edge_cap)
+    if s + t > min(len({u for u, _ in edges}), len({v for _, v in edges})):
+        return None  # S and T need s + t distinct endpoints on each rail
     split = _st_splits(drawing, s, t, edge_cap).get((s, t))
     return None if split is None else _st_witness(drawing, split, s, t)
 

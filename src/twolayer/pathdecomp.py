@@ -13,6 +13,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 from typing import Sequence
 
 from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
@@ -27,9 +28,14 @@ class PathDecomposition:
     bags: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "bags", tuple(tuple(sorted(set(bag))) for bag in self.bags)
-        )
+        # Sorting a sorted bag is linear, and equal ids end up adjacent.
+        bags = []
+        for bag in self.bags:
+            ordered = sorted(bag)
+            if any(map(eq, ordered, ordered[1:])):
+                ordered = sorted(set(ordered))
+            bags.append(tuple(ordered))
+        object.__setattr__(self, "bags", tuple(bags))
 
     @property
     def width(self) -> int:
@@ -277,6 +283,12 @@ def normalize_unique_intro(pd: PathDecomposition) -> PathDecomposition:
             raise DecompositionError(
                 f"vertex {v!r} occupies non-contiguous bags; cannot normalize"
             )
+    return _stage_introductions(pd)
+
+
+def _stage_introductions(pd: PathDecomposition) -> PathDecomposition:
+    """normalize_unique_intro without its contiguity check, for callers that
+    have validated pd already."""
     seen: set[str] = set()
     out: list[tuple[str, ...]] = []
     for bag in pd.bags:

@@ -1,11 +1,12 @@
 """Brute-force oracles that the tests compare the library against.
 
 Those that enumerate subsets or vertex orderings refuse inputs above a
-small cap with CapExceededError.  The last three are the library's former
-exact-pathwidth DP, order-to-bags conversion and minimal-unachievable
-filter, kept as references.
+small cap with CapExceededError.  The last four are the library's former
+exact-pathwidth DP, order-to-bags conversion, minimal-unachievable filter
+and (s,t) split scan, kept as references.
 """
 
+import bisect
 from itertools import combinations, permutations
 
 import twolayer as tl
@@ -199,3 +200,53 @@ def naive_minimal_unachievable(frontier):
             )
         )
     )
+
+
+def full_st_splits(drawing: tl.TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap: int):
+    """analysis._st_splits without its stop at (s_cap, t_cap): the first
+    split in row-major order of every capped pair the drawing realizes."""
+    from twolayer import analysis
+
+    edges = analysis._st_search_edges(drawing, s_cap, t_cap, edge_cap)
+    pa, pb = drawing.pos_a, drawing.pos_b
+    xs = sorted({0, *(pa[u] for u, _ in edges)})
+    ys = sorted({0, *(pb[v] for _, v in edges)})
+    down: list[list[int]] = [[] for _ in ys]
+    for u, v in sorted(edges, key=lambda e: pa[e[0]]):
+        down[bisect.bisect_left(ys, pb[v])].append(-bisect.bisect_left(xs, pa[u]))
+    up = [[-k for k in reversed(col)] for col in down]
+    cap = max(s_cap, t_cap)
+    splits: dict[tuple[int, int], tuple[int, int, bool]] = {}
+    last_a = last_b = 0
+    for p in range(1, len(xs)):
+        a_row: list[int] = []
+        tails: list[int] = []
+        for col in reversed(down):
+            a_row.append(len(tails))
+            for k in col:
+                if k < -p:
+                    break
+                d = bisect.bisect_left(tails, k)
+                if d < len(tails):
+                    tails[d] = k
+                elif d < cap:
+                    tails.append(k)
+        tails = []
+        for q, col, a in zip(ys, up, reversed(a_row)):
+            if not a:
+                break
+            for x in col:
+                if x <= p:
+                    break
+                d = bisect.bisect_left(tails, x)
+                if d < len(tails):
+                    tails[d] = x
+                elif d < cap:
+                    tails.append(x)
+            b = len(tails)
+            if not b or (a == last_a and b == last_b):
+                continue
+            last_a, last_b = a, b
+            splits.setdefault((min(a, s_cap), min(b, t_cap)), (xs[p], q, False))
+            splits.setdefault((min(b, s_cap), min(a, t_cap)), (xs[p], q, True))
+    return splits

@@ -13,7 +13,7 @@ from twolayer import BipartiteGraph, CapExceededError, GraphError, TwoLayerDrawi
 
 from conftest import crossing_pairs, drawings, random_corpus
 from oracles import _is_noncrossing_matching as oracle_noncrossing_matching
-from oracles import brute_max_crossing_set, naive_st_crossing_exists
+from oracles import brute_max_crossing_set, full_st_splits, naive_st_crossing_exists
 
 
 def _drawing(edges, order_a, order_b):
@@ -593,12 +593,17 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
     analysis_report equal the uncompressed scan's, edge for edge.  The star
     fans and the small caps make the caps cut piles short.  The public calls
     take one cap for both sides, so the split scan answers the asymmetric
-    caps directly."""
+    caps directly.  The dense drawings realize (4, 4), so at caps 1-4 the
+    scan stops at its capped pair."""
     from twolayer import analysis
 
-    edgeless = no_vertices = with_edges = 0
+    edgeless = no_vertices = with_edges = saturated = 0
     fans = [tl.star_fan_drawing(n)[1] for n in range(1, 25)]
-    for d in _long_rail_corpus(2000, seed=97) + fans:
+    dense = [
+        tl.random_drawing(n, n, 0.7, seed)[1]
+        for n, seed in ((11, 1), (11, 3), (12, 2), (14, 4))
+    ]
+    for d in _long_rail_corpus(2000, seed=97) + fans + dense:
         ranks = len(d.order_a) + len(d.order_b)
         carried = len({x for e in d.graph.edges for x in e})
         edgeless += not d.graph.edges
@@ -611,11 +616,12 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
             for t in range(1, 5):
                 got = tl.st_crossing_exists(d, s, t)
                 assert got == ref_st_crossing_exists(d, tables, s, t), (d, s, t)
+        saturated += got is not None  # the (4, 4) pattern
         for st_cap in (16, 3, 1):
             assert tl.analysis_report(d, st_cap) == ref_analysis_report(
                 d, tables, st_cap, st_cap
             ), (d, st_cap)
-        for s_cap, t_cap in ((2, 3), (3, 2), (1, 4), (4, 1)):
+        for s_cap, t_cap in ((2, 3), (3, 2), (1, 4), (4, 1), (4, 4)):
             splits = analysis._st_splits(d, s_cap, t_cap, analysis.DEFAULT_ST_EDGE_CAP)
             frontier = analysis._pareto_max(splits)
             assert frontier == ref_st_profile(tables, s_cap, t_cap), (d, s_cap, t_cap)
@@ -625,6 +631,7 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
     # drawings with edges and edgeless ranks, edgeless drawings and one
     # drawing without vertices all occur
     assert with_edges > 1500 and edgeless > 100 and no_vertices == 1
+    assert saturated >= len(dense)
 
     # A drawing with fewer than s + t edges has no (s,t) pattern and needs no
     # split scan, but s or t below 1 and an edge count above the cap still
@@ -647,6 +654,78 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
         if m:
             with pytest.raises(CapExceededError):
                 tl.st_crossing_exists(d, m, m, edge_cap=m - 1)
+
+    # Nor does a drawing with s + t edges or more but fewer than s + t
+    # vertices carrying an edge on one rail: S and T together are a matching.
+    # The star fan has n such B-vertices, K_{2,n} two A-vertices and K_{n,2}
+    # two B-vertices, each with 2n edges.
+    short_rail = 0
+    for n in range(1, 6):
+        k2n = [(f"a{i}", f"b{j}") for i in range(2) for j in range(n)]
+        kn2 = [(f"a{i}", f"b{j}") for i in range(n) for j in range(2)]
+        for d in (
+            tl.star_fan_drawing(n)[1],
+            _drawing(k2n, ("a1", "a0"), [f"b{j}" for j in range(n)]),
+            _drawing(kn2, [f"a{i}" for i in reversed(range(n))], ("b0", "b1")),
+        ):
+            m = len(d.graph.edges)
+            a_ends, b_ends = ({e[i] for e in d.graph.edges} for i in (0, 1))
+            ends = min(len(a_ends), len(b_ends))
+            for s in range(1, m):
+                for t in range(1, m - s + 1):
+                    if s + t > ends:
+                        short_rail += 1
+                        assert tl.st_crossing_exists(d, s, t) is None, (d, s, t)
+                        assert not naive_st_crossing_exists(d, s, t), (d, s, t)
+                        with pytest.raises(GraphError):
+                            tl.st_crossing_exists(d, 0, s + t)
+                        with pytest.raises(CapExceededError):
+                            tl.st_crossing_exists(d, s, t, edge_cap=m - 1)
+    assert short_rail > 100
+
+
+class _CountingBisect:
+    """Stand-in for the bisect module that counts bisect_left calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def bisect_left(self, *args):
+        self.calls += 1
+        return bisect.bisect_left(*args)
+
+
+@pytest.mark.parametrize(
+    "na, nb, p, seed, cap",
+    [
+        (160, 160, 0.032, 3, 16),
+        (40, 40, 0.15, 1, 8),
+        (30, 20, 0.3, 2, 6),
+        (12, 12, 0.5, 4, 4),
+        (8, 8, 0.6, 5, 3),
+    ],
+)
+def test_st_splits_stop_at_the_capped_pair(monkeypatch, na, nb, p, seed, cap):
+    """On drawings that realize the capped pair, the split scan stops there
+    with fewer patience steps than the full scan, yet gives the capped pair
+    the same first split and the map the same Pareto maximum.  The first
+    drawing is a wide-bags benchmark input, where the pair appears in row
+    29 of 160."""
+    import oracles
+    from twolayer import analysis
+
+    _, d = tl.random_drawing(na, nb, p, seed)
+    for s_cap, t_cap in ((cap, cap), (cap, 1), (1, cap), (cap, cap // 2)):
+        fast_steps, full_steps = _CountingBisect(), _CountingBisect()
+        monkeypatch.setattr(analysis, "bisect", fast_steps)
+        monkeypatch.setattr(oracles, "bisect", full_steps)
+        fast = analysis._st_splits(d, s_cap, t_cap, analysis.DEFAULT_ST_EDGE_CAP)
+        full = full_st_splits(d, s_cap, t_cap, analysis.DEFAULT_ST_EDGE_CAP)
+        monkeypatch.undo()
+        assert fast[(s_cap, t_cap)] == full[(s_cap, t_cap)], (s_cap, t_cap)
+        assert analysis._pareto_max(fast) == analysis._pareto_max(full)
+        assert analysis._pareto_max(full) == ((s_cap, t_cap),)
+        assert fast_steps.calls < full_steps.calls, (s_cap, t_cap)
 
 
 # ---------------------------------------------------------- counting bound

@@ -55,6 +55,29 @@ def test_layout_rejects_invalid_decomposition():
         tl.layout_decomposition(g, bad)
 
 
+def test_layout_checks_contiguity_once(monkeypatch):
+    """Layout validates the decomposition and stages its introductions
+    without the normalizer's second contiguity pass: one bag scan for the
+    validation, one for the first-bag indices of the staged decomposition."""
+    from twolayer import pathdecomp
+
+    g, _ = tl.grid_graph(3)
+    _, pd = _exact_pd(g)
+    merged = PathDecomposition(
+        (tuple(sorted(set(pd.bags[0]) | set(pd.bags[1]))),) + pd.bags[2:]
+    )
+    normalized = tl.normalize_unique_intro(merged)
+    assert normalized != merged  # its first bag introduces several vertices
+    scans = []
+    bag_indices = pathdecomp._bag_indices
+    monkeypatch.setattr(
+        pathdecomp, "_bag_indices", lambda p: scans.append(p) or bag_indices(p)
+    )
+    _, cert = tl.layout_decomposition(g, merged)
+    assert scans == [merged, normalized]
+    assert cert.ell == {v: idx[0] for v, idx in bag_indices(normalized).items()}
+
+
 def test_layout_is_deterministic():
     g, _ = tl.grid_graph(3)
     _, pd = _exact_pd(g)

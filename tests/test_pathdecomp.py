@@ -33,6 +33,21 @@ def test_bags_are_sorted_and_deduped():
     assert pd.vertices == {"u", "v", "w"}
 
 
+def test_bags_match_a_sort_of_their_id_sets():
+    """Sorted bags, bags with repeats anywhere and empty bags all come out
+    as the sorted tuple of their distinct ids."""
+    rng = random.Random(11)
+    ids = [f"{side}{i}" for side in "ab" for i in range(12)]
+    for _ in range(500):
+        bags = []
+        for _ in range(rng.randint(0, 6)):
+            bag = rng.choices(ids, k=rng.randint(0, 8))
+            bags.append(tuple(sorted(bag) if rng.random() < 0.5 else bag))
+        pd = PathDecomposition(tuple(bags))
+        assert pd.bags == tuple(tuple(sorted(set(bag))) for bag in bags)
+        assert PathDecomposition(pd.bags) == pd
+
+
 def test_width_of_empty_decomposition_is_error():
     with pytest.raises(DecompositionError):
         PathDecomposition(()).width
