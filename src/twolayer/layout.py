@@ -23,8 +23,8 @@ from .errors import CertificateError, DecompositionError
 from .graphs import BipartiteGraph, TwoLayerDrawing
 from .pathdecomp import (
     PathDecomposition,
-    _stage_introductions,
     intro_intervals,
+    normalize_unique_intro,
     validate_decomposition,
 )
 
@@ -58,7 +58,7 @@ def _induced_drawing(
         raise DecompositionError(
             "invalid decomposition: " + "; ".join(v.describe() for v in violations)
         )
-    normalized = _stage_introductions(pd)  # validated, so contiguous
+    normalized = normalize_unique_intro(pd)
     ell = {v: lo for v, (lo, _) in intro_intervals(normalized).items()}
     order_a = tuple(sorted(graph.a, key=lambda v: ell[v]))
     order_b = tuple(sorted(graph.b, key=lambda v: ell[v]))

@@ -278,28 +278,28 @@ def normalize_unique_intro(pd: PathDecomposition) -> PathDecomposition:
     is the bag itself.  Only contiguity can be checked without the host
     graph; callers wanting full validity run validate_decomposition first.
     """
-    for v, idx in _bag_indices(pd).items():
-        if idx[-1] - idx[0] + 1 != len(idx):
+    seen: set[str] = set()
+    held: set[str] = set()
+    out: list[tuple[str, ...]] = []
+    for bag in pd.bags:
+        last, held = held, set(bag)
+        new = sorted(held - seen)
+        # Every vertex that enters here must be new: one seen before that
+        # skipped the last bag occupies non-contiguous bags.  The error names
+        # the first such vertex in order of first appearance.
+        if len(held - last) != len(new):
+            v = next(v for v, idx in _bag_indices(pd).items()
+                     if idx[-1] - idx[0] + 1 != len(idx))
             raise DecompositionError(
                 f"vertex {v!r} occupies non-contiguous bags; cannot normalize"
             )
-    return _stage_introductions(pd)
-
-
-def _stage_introductions(pd: PathDecomposition) -> PathDecomposition:
-    """normalize_unique_intro without its contiguity check, for callers that
-    have validated pd already."""
-    seen: set[str] = set()
-    out: list[tuple[str, ...]] = []
-    for bag in pd.bags:
-        new = sorted(v for v in bag if v not in seen)
         if len(new) <= 1:
             out.append(bag)
         else:
             carried = [v for v in bag if v in seen]
             for stop in range(1, len(new) + 1):
                 out.append(tuple(sorted(carried + new[:stop])))
-        seen.update(bag)
+        seen |= held
     if len(out) == len(pd.bags):
         return pd  # no bag introduced two vertices, so out is pd's bags
     return PathDecomposition(tuple(out))

@@ -56,9 +56,9 @@ def test_layout_rejects_invalid_decomposition():
 
 
 def test_layout_checks_contiguity_once(monkeypatch):
-    """Layout validates the decomposition and stages its introductions
-    without the normalizer's second contiguity pass: one bag scan for the
-    validation, one for the first-bag indices of the staged decomposition."""
+    """The normalizer checks contiguity while it stages introductions, so
+    layout scans the bags once to validate and once for the first-bag
+    indices of the staged decomposition."""
     from twolayer import pathdecomp
 
     g, _ = tl.grid_graph(3)
