@@ -1,8 +1,8 @@
 """Turn a path decomposition into a two-layer drawing with certified
 crossing structure.
 
-After normalizing so every vertex has its own introduction bag, placing each
-vertex at the index of its first bag and reading each rail in that order
+After staging introductions so every vertex has its own first bag, placing
+each vertex at the index of that bag and reading each rail in that order
 yields a drawing whose crossing patterns are controlled by the width k of
 the input: no k+2 edges pairwise cross and no (k+1,k+1) pattern appears.
 Both claims are verified on the produced drawing, never assumed.
@@ -19,11 +19,11 @@ from .analysis import (
     max_crossing_set,
     st_crossing_exists,
 )
-from .errors import CertificateError, DecompositionError
+from .errors import CertificateError, DecompositionError, GraphError
 from .graphs import BipartiteGraph, TwoLayerDrawing
 from .pathdecomp import (
     PathDecomposition,
-    intro_intervals,
+    _staged_first_bags,
     normalize_unique_intro,
     validate_decomposition,
 )
@@ -36,8 +36,9 @@ class LayoutCertificate:
     `max_crossing_ok` and `st_ok` are set only after actually measuring the
     drawing: the maximum pairwise-crossing set is at most k+1 and no
     (k+1,k+1) pattern exists, where k is the width of the input
-    decomposition.  `ell` is the placement map used (first-bag index in the
-    normalized decomposition)."""
+    decomposition.  `ell` is the placement map used: each vertex's first-bag
+    index in the staged decomposition `normalize_unique_intro` would build,
+    read off the input's bag intervals without building it."""
 
     k: int
     ell: dict[str, int]
@@ -49,20 +50,19 @@ class LayoutCertificate:
 
 def _induced_drawing(
     graph: BipartiteGraph, pd: PathDecomposition
-) -> tuple[PathDecomposition, dict[str, int], TwoLayerDrawing]:
-    """The drawing a valid decomposition induces: normalize it to unique
-    introductions, then place each vertex at the index of its first bag.
-    Returns the normalized decomposition, the placement map and the drawing."""
+) -> tuple[dict[str, int], TwoLayerDrawing]:
+    """The drawing a valid decomposition induces: place each vertex at its
+    first bag once introductions are staged one per bag.  The staged bags
+    themselves are not built.  Returns the placement map and the drawing."""
     violations = validate_decomposition(graph, pd)
     if violations:
         raise DecompositionError(
             "invalid decomposition: " + "; ".join(v.describe() for v in violations)
         )
-    normalized = normalize_unique_intro(pd)
-    ell = {v: lo for v, (lo, _) in intro_intervals(normalized).items()}
+    ell = _staged_first_bags(pd)
     order_a = tuple(sorted(graph.a, key=lambda v: ell[v]))
     order_b = tuple(sorted(graph.b, key=lambda v: ell[v]))
-    return normalized, ell, TwoLayerDrawing(graph, order_a, order_b)
+    return ell, TwoLayerDrawing(graph, order_a, order_b)
 
 
 def layout_decomposition(
@@ -71,7 +71,9 @@ def layout_decomposition(
     edge_cap: int = DEFAULT_ST_EDGE_CAP,
 ) -> tuple[TwoLayerDrawing, LayoutCertificate]:
     """Drawing from a valid decomposition, with measured crossing bounds."""
-    _, ell, drawing = _induced_drawing(graph, pd)
+    if not graph.vertices:
+        raise GraphError("layout is undefined for the empty graph")
+    ell, drawing = _induced_drawing(graph, pd)
     k = pd.width
     measured, _ = max_crossing_set(drawing)
     st_witness = st_crossing_exists(drawing, k + 1, k + 1, edge_cap)
@@ -113,7 +115,7 @@ def explain_oversized_bag(
     The witness must re-verify in the drawing induced by pd (same placement
     rule as layout_decomposition); otherwise it is rejected.
     """
-    normalized, ell, drawing = _induced_drawing(graph, pd)
+    ell, drawing = _induced_drawing(graph, pd)
     if witness.kind != "k" or len(witness.edges) < 2 or not witness.verify(drawing):
         raise DecompositionError(
             "witness does not re-verify as a pairwise-crossing set in the "
@@ -126,6 +128,7 @@ def explain_oversized_bag(
     p = max(lo for lo, _ in intervals)
     if p > min(hi for _, hi in intervals):
         raise CertificateError("crossing edges' first-bag intervals do not overlap")
+    normalized = normalize_unique_intro(pd)
     bag = normalized.bags[p - 1]
     for u, v in witness.edges:
         if u not in bag and v not in bag:

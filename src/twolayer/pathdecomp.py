@@ -269,6 +269,31 @@ def order_to_decomposition(
 # unique-introduction normalization
 # ===================================================================
 
+def _staged_first_bags(pd: PathDecomposition) -> dict[str, int]:
+    """Each vertex's 1-based first bag once introductions are staged one per
+    bag, as `normalize_unique_intro` stages them, in order of first appearance.
+
+    A bag introducing m >= 2 vertices gives them consecutive stages in id
+    order, and a bag introducing none keeps one stage.  `_bag_indices` lists
+    each bag's new vertices together in id order, so a vertex's stage is one
+    past the previous vertex's, plus one for each bag in between.  Raises
+    DecompositionError naming the first vertex, in order of first appearance,
+    whose bags are not contiguous.
+    """
+    first: dict[str, int] = {}
+    stage = prev = 0
+    for v, idx in _bag_indices(pd).items():
+        lo = idx[0]
+        if idx[-1] - lo + 1 != len(idx):
+            raise DecompositionError(
+                f"vertex {v!r} occupies non-contiguous bags; cannot normalize"
+            )
+        stage += lo - prev or 1
+        prev = lo
+        first[v] = stage
+    return first
+
+
 def normalize_unique_intro(pd: PathDecomposition) -> PathDecomposition:
     """Stage multi-introduction bags so every vertex gets a distinct first bag.
 
@@ -278,28 +303,17 @@ def normalize_unique_intro(pd: PathDecomposition) -> PathDecomposition:
     is the bag itself.  Only contiguity can be checked without the host
     graph; callers wanting full validity run validate_decomposition first.
     """
-    seen: set[str] = set()
-    held: set[str] = set()
+    first = _staged_first_bags(pd)
     out: list[tuple[str, ...]] = []
     for bag in pd.bags:
-        last, held = held, set(bag)
-        new = sorted(held - seen)
-        # Every vertex that enters here must be new: one seen before that
-        # skipped the last bag occupies non-contiguous bags.  The error names
-        # the first such vertex in order of first appearance.
-        if len(held - last) != len(new):
-            v = next(v for v, idx in _bag_indices(pd).items()
-                     if idx[-1] - idx[0] + 1 != len(idx))
-            raise DecompositionError(
-                f"vertex {v!r} occupies non-contiguous bags; cannot normalize"
-            )
-        if len(new) <= 1:
+        # the new vertices are those staged after every earlier bag's stages
+        done = len(out)
+        new = sum(first[v] > done for v in bag)
+        if new <= 1:
             out.append(bag)
         else:
-            carried = [v for v in bag if v in seen]
-            for stop in range(1, len(new) + 1):
-                out.append(tuple(sorted(carried + new[:stop])))
-        seen |= held
+            for s in range(done + 1, done + new + 1):
+                out.append(tuple(v for v in bag if first[v] <= s))
     if len(out) == len(pd.bags):
         return pd  # no bag introduced two vertices, so out is pd's bags
     return PathDecomposition(tuple(out))

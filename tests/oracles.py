@@ -1,16 +1,16 @@
 """Brute-force oracles that the tests compare the library against.
 
 Those that enumerate subsets or vertex orderings refuse inputs above a
-small cap with CapExceededError.  The last four are the library's former
-exact-pathwidth DP, order-to-bags conversion, minimal-unachievable filter
-and (s,t) split scan, kept as references.
+small cap with CapExceededError.  The last five are the library's former
+exact-pathwidth DP, order-to-bags conversion, minimal-unachievable filter,
+(s,t) split scan and unique-introduction staging, kept as references.
 """
 
 import bisect
 from itertools import combinations, permutations
 
 import twolayer as tl
-from twolayer import CapExceededError, CertificateError, GraphError
+from twolayer import CapExceededError, CertificateError, DecompositionError, GraphError
 
 
 def _is_noncrossing_matching(drawing: tl.TwoLayerDrawing, edges) -> bool:
@@ -250,3 +250,35 @@ def full_st_splits(drawing: tl.TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap
             splits.setdefault((min(a, s_cap), min(b, t_cap)), (xs[p], q, False))
             splits.setdefault((min(b, s_cap), min(a, t_cap)), (xs[p], q, True))
     return splits
+
+
+def naive_normalize_unique_intro(pd: tl.PathDecomposition) -> tl.PathDecomposition:
+    """Unique-introduction staging by per-bag set differences: a bag adding
+    m >= 2 unseen vertices becomes m bags, each extending the carried-over
+    part by one new vertex in id order.  A vertex that re-enters after
+    skipping a bag is non-contiguous, and the error names the first such
+    vertex in order of first appearance."""
+    seen: set[str] = set()
+    held: set[str] = set()
+    out: list[tuple[str, ...]] = []
+    for bag in pd.bags:
+        last, held = held, set(bag)
+        new = sorted(held - seen)
+        if len(held - last) != len(new):
+            where: dict[str, list[int]] = {}
+            for i, b in enumerate(pd.bags):
+                for v in b:
+                    where.setdefault(v, []).append(i)
+            v = next(v for v, idx in where.items()
+                     if idx[-1] - idx[0] + 1 != len(idx))
+            raise DecompositionError(
+                f"vertex {v!r} occupies non-contiguous bags; cannot normalize"
+            )
+        if len(new) <= 1:
+            out.append(bag)
+        else:
+            carried = [v for v in bag if v in seen]
+            for stop in range(1, len(new) + 1):
+                out.append(tuple(sorted(carried + new[:stop])))
+        seen |= held
+    return tl.PathDecomposition(tuple(out))

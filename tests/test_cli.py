@@ -169,6 +169,19 @@ def test_pathwidth_and_layout_pipeline(capsys, tmp_path):
     assert cert["maxCrossingOk"] is True and cert["stOk"] is True
 
 
+@pytest.mark.parametrize("bags", [[[]], []])
+def test_layout_of_empty_graph_exits_1(capsys, tmp_path, bags):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(tl.graph_to_json(tl.BipartiteGraph((), (), ())))
+    pd_path = tmp_path / "pd.json"
+    pd_path.write_text(json.dumps({"bags": bags}))
+    code, out, err = run(
+        capsys, "layout", "--in", str(pd_path), "--graph", str(graph_path)
+    )
+    assert code == 1 and out == ""
+    assert err == "error: layout is undefined for the empty graph\n"
+
+
 @pytest.mark.parametrize(
     "seed, digest",
     [

@@ -1,11 +1,12 @@
 """Decomposition-to-drawing layout and the oversized-bag explanation."""
 
 import pytest
+from hypothesis import given, settings
 
 import twolayer as tl
-from twolayer import BipartiteGraph, DecompositionError, PathDecomposition
+from twolayer import BipartiteGraph, DecompositionError, GraphError, PathDecomposition
 
-from conftest import crossing_pairs, random_corpus
+from conftest import crossing_pairs, decompositions, random_corpus
 
 
 def _exact_pd(g):
@@ -56,10 +57,10 @@ def test_layout_rejects_invalid_decomposition():
 
 
 def test_layout_checks_contiguity_once(monkeypatch):
-    """The normalizer checks contiguity while it stages introductions, so
-    layout scans the bags once to validate and once for the first-bag
-    indices of the staged decomposition."""
-    from twolayer import pathdecomp
+    """Layout reads each vertex's staged first bag off the input's bag
+    intervals: it scans only its input, once to validate and once to stage,
+    and neither builds nor rescans a staged decomposition."""
+    from twolayer import layout, pathdecomp
 
     g, _ = tl.grid_graph(3)
     _, pd = _exact_pd(g)
@@ -73,9 +74,45 @@ def test_layout_checks_contiguity_once(monkeypatch):
     monkeypatch.setattr(
         pathdecomp, "_bag_indices", lambda p: scans.append(p) or bag_indices(p)
     )
+
+    def staged_decomposition(*args):
+        raise AssertionError("layout went through a staged decomposition")
+
+    for module, name in (
+        (pathdecomp, "normalize_unique_intro"),
+        (pathdecomp, "intro_intervals"),
+        (layout, "normalize_unique_intro"),
+    ):
+        monkeypatch.setattr(module, name, staged_decomposition)
+    assert not hasattr(layout, "intro_intervals")
+    built = []
+    post_init = PathDecomposition.__post_init__
+    monkeypatch.setattr(
+        PathDecomposition, "__post_init__", lambda p: built.append(p) or post_init(p)
+    )
     _, cert = tl.layout_decomposition(g, merged)
-    assert scans == [merged, normalized]
+    assert len(scans) == 2 and all(p is merged for p in scans)
+    assert built == []
     assert cert.ell == {v: idx[0] for v, idx in bag_indices(normalized).items()}
+
+
+@given(decompositions())
+@settings(max_examples=60, deadline=None)
+def test_layout_ell_is_first_bag_of_staged_decomposition(pair):
+    g, pd = pair
+    _, cert = tl.layout_decomposition(g, pd)
+    first: dict[str, int] = {}
+    for i, bag in enumerate(tl.normalize_unique_intro(pd).bags, start=1):
+        for v in bag:
+            first.setdefault(v, i)
+    assert list(cert.ell.items()) == list(first.items())
+
+
+def test_layout_rejects_empty_graph():
+    g = BipartiteGraph((), (), ())
+    for bags in ((), ((),)):
+        with pytest.raises(GraphError, match="layout is undefined for the empty graph"):
+            tl.layout_decomposition(g, PathDecomposition(bags))
 
 
 def test_layout_is_deterministic():
@@ -166,21 +203,21 @@ def test_explain_bag_checks_raise_certificate_error(monkeypatch):
     from twolayer import layout
 
     g, pd, witness = _crossing_pair_instance()
-    induced = layout._induced_drawing
+    normalize = layout.normalize_unique_intro
 
-    def hollow_bags(graph, pd):
-        normalized, ell, drawing = induced(graph, pd)
-        return PathDecomposition(tuple(("zz",) for _ in normalized.bags)), ell, drawing
+    def hollow_bags(pd):
+        return PathDecomposition(tuple(("zz",) for _ in normalize(pd).bags))
 
-    monkeypatch.setattr(layout, "_induced_drawing", hollow_bags)
+    monkeypatch.setattr(layout, "normalize_unique_intro", hollow_bags)
     with pytest.raises(tl.CertificateError, match="misses edge"):
         tl.explain_oversized_bag(g, pd, witness)
 
-    def disjoint_intervals(graph, pd):
-        normalized, _, drawing = induced(graph, pd)
-        return normalized, {"a1": 1, "b2": 2, "a2": 3, "b1": 4}, drawing
-
-    monkeypatch.setattr(layout, "_induced_drawing", disjoint_intervals)
+    # Crossing edges always get overlapping intervals from a true placement,
+    # so the witness must re-verify in a drawing that this one does not induce.
+    monkeypatch.setattr(
+        layout, "_staged_first_bags", lambda pd: {"a1": 1, "b2": 2, "a2": 3, "b1": 4}
+    )
+    monkeypatch.setattr(tl.CrossingWitness, "verify", lambda self, drawing: True)
     with pytest.raises(tl.CertificateError, match="do not overlap"):
         tl.explain_oversized_bag(g, pd, witness)
 

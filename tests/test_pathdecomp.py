@@ -17,7 +17,12 @@ from twolayer import (
 )
 
 from conftest import decompositions, graphs
-from oracles import brute_pathwidth, dp_pathwidth, naive_order_to_decomposition
+from oracles import (
+    brute_pathwidth,
+    dp_pathwidth,
+    naive_normalize_unique_intro,
+    naive_order_to_decomposition,
+)
 
 
 def _graph_of(edges, isolated=()):
@@ -434,6 +439,46 @@ def test_normalize_property(pair):
     for bag in out.bags:
         assert len(set(bag) - seen) <= 1
         seen |= set(bag)
+
+
+def _random_bag_sequences(count, seed):
+    """Seeded bag sequences over a few ids: the odd ones give each vertex
+    one interval of bags, so they are contiguous; the even ones draw every
+    bag on its own, so most are not."""
+    rng = random.Random(seed)
+    ids = "abcdefg"
+    for i in range(count):
+        n = rng.randint(0, 7)
+        if i % 2:
+            bags = [set() for _ in range(n)]
+            for v in rng.sample(ids, rng.randint(0, len(ids)) if n else 0):
+                lo = rng.randint(0, n - 1)
+                for j in range(lo, rng.randint(lo, n - 1) + 1):
+                    bags[j].add(v)
+        else:
+            bags = [set(rng.sample(ids, rng.randint(0, 4))) for _ in range(n)]
+        yield PathDecomposition(tuple(tuple(bag) for bag in bags))
+
+
+def test_normalize_matches_set_difference_oracle():
+    """Staging from bag intervals gives the set-difference staging's bags,
+    or raises its error naming the same vertex."""
+    split = unsplit = broken = 0
+    for pd in _random_bag_sequences(4000, seed=41):
+        try:
+            expected = naive_normalize_unique_intro(pd)
+        except DecompositionError as exc:
+            with pytest.raises(DecompositionError) as got:
+                tl.normalize_unique_intro(pd)
+            assert str(got.value) == str(exc), pd
+            broken += 1
+            continue
+        assert tl.normalize_unique_intro(pd).bags == expected.bags, pd
+        if expected.bags == pd.bags:
+            unsplit += 1
+        else:
+            split += 1
+    assert split >= 1500 and unsplit >= 1000 and broken >= 800
 
 
 @given(graphs(max_side=4))
