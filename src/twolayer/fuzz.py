@@ -2,9 +2,9 @@
 
 Each trial generates one random drawing and runs a configurable subset of
 checks against it: decomposition validity and width bound, the per-bag
-counting audit, layout certificates from exact-pathwidth decompositions,
-the |A| <= k*ell*d counting bound, and the per-edge-crossings pathwidth
-bound.  Everything is derived from (seed, trial index) by integer
+counting audit, layout certificates and placements from exact-pathwidth
+decompositions, the |A| <= k*ell*d counting bound, and the per-edge-crossings
+pathwidth bound.  Everything is derived from (seed, trial index) by integer
 arithmetic, so reports reproduce bit for bit and every failure dump replays
 to the same verdict and detail.
 """
@@ -37,7 +37,12 @@ from .graphs import (
     random_drawing,
 )
 from .layout import layout_decomposition
-from .pathdecomp import order_to_decomposition, pathwidth_exact
+from .pathdecomp import (
+    intro_intervals,
+    normalize_unique_intro,
+    order_to_decomposition,
+    pathwidth_exact,
+)
 
 ALL_CHECKS = ("decompose", "audit", "layout", "counting", "per-edge")
 # Largest graph whose exact pathwidth the layout and per-edge checks use;
@@ -154,11 +159,14 @@ def _run_check(
         _, order = trial.pathwidth
         pd = order_to_decomposition(graph, order)
         _, cert = layout_decomposition(graph, pd)
+        # the placement must be each vertex's first bag once staged
+        staged = intro_intervals(normalize_unique_intro(pd))
+        ell_ok = cert.ell == {v: lo for v, (lo, _) in staged.items()}
         detail = (
             f"k={cert.k} max_crossing={cert.max_crossing} "
             f"st_ok={cert.st_ok}"
-        )
-        return cert.max_crossing_ok and cert.st_ok, detail, None
+        ) + ("" if ell_ok else " ell is not the staged first bags")
+        return cert.max_crossing_ok and cert.st_ok and ell_ok, detail, None
 
     if check == "counting":
         sub = drop_isolated_a(drawing)

@@ -23,8 +23,8 @@ from .errors import CertificateError, DecompositionError, GraphError
 from .graphs import BipartiteGraph, TwoLayerDrawing
 from .pathdecomp import (
     PathDecomposition,
+    _staged_bags,
     _staged_first_bags,
-    normalize_unique_intro,
     validate_decomposition,
 )
 
@@ -128,7 +128,7 @@ def explain_oversized_bag(
     p = max(lo for lo, _ in intervals)
     if p > min(hi for _, hi in intervals):
         raise CertificateError("crossing edges' first-bag intervals do not overlap")
-    normalized = normalize_unique_intro(pd)
+    normalized = _staged_bags(pd, ell)  # normalize_unique_intro(pd), from ell
     bag = normalized.bags[p - 1]
     for u, v in witness.edges:
         if u not in bag and v not in bag:

@@ -13,6 +13,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import eq
 from typing import Sequence
 
@@ -303,19 +304,38 @@ def normalize_unique_intro(pd: PathDecomposition) -> PathDecomposition:
     is the bag itself.  Only contiguity can be checked without the host
     graph; callers wanting full validity run validate_decomposition first.
     """
-    first = _staged_first_bags(pd)
+    return _staged_bags(pd, _staged_first_bags(pd))
+
+
+def _staged_bags(pd: PathDecomposition, first: dict[str, int]) -> PathDecomposition:
+    """The staged decomposition of pd, given its `_staged_first_bags` map.
+
+    A bag introducing two vertices moves every later first bag up a stage,
+    so pd needs no staging exactly when the last vertex to appear is staged
+    at the bag that introduces it.  Otherwise a bag's new vertices hold the
+    stages after every earlier bag's, so the bag's top stage tells how many
+    there are.  Each stage keeps the bag's own order: a mask over the bag
+    gains one new vertex per stage."""
+    bags = pd.bags
+    last = next(reversed(first), None)
+    if last is None:
+        return pd
+    # last's bags are contiguous: bag f introduces it iff f holds it, f-1 not
+    f = first[last]
+    if f <= len(bags) and last in bags[f - 1] and (f == 1 or last not in bags[f - 2]):
+        return pd
     out: list[tuple[str, ...]] = []
-    for bag in pd.bags:
-        # the new vertices are those staged after every earlier bag's stages
+    for bag in bags:
         done = len(out)
-        new = sum(first[v] > done for v in bag)
-        if new <= 1:
+        stages = list(map(first.__getitem__, bag))
+        top = max(stages, default=done)
+        if top <= done + 1:
             out.append(bag)
-        else:
-            for s in range(done + 1, done + new + 1):
-                out.append(tuple(v for v in bag if first[v] <= s))
-    if len(out) == len(pd.bags):
-        return pd  # no bag introduced two vertices, so out is pd's bags
+            continue
+        keep = bytearray(map(done.__ge__, stages))
+        for i in sorted(range(len(bag)), key=stages.__getitem__)[done - top:]:
+            keep[i] = 1
+            out.append(tuple(compress(bag, keep)))
     return PathDecomposition(tuple(out))
 
 

@@ -73,6 +73,23 @@ def test_layout_and_per_edge_skip_the_same_trials(monkeypatch):
     assert 0 < sum(skipped["layout"]) < 300
 
 
+def test_layout_check_fails_on_a_wrong_placement(monkeypatch):
+    """The layout check compares the certificate's placement map with the
+    first bags of the staged decomposition, not only its measured bounds."""
+    real = fuzz.layout_decomposition
+
+    def shifted(graph, pd):
+        drawing, cert = real(graph, pd)
+        ell = {v: i + 1 for v, i in cert.ell.items()}
+        return drawing, dataclasses.replace(cert, ell=ell)
+
+    monkeypatch.setattr(fuzz, "layout_decomposition", shifted)
+    rep = tl.run_fuzz(FuzzConfig(trials=20, seed=7, checks=("layout",)))
+    stats = rep.stats["layout"]
+    assert stats.run > 0 and stats.failed == stats.run
+    assert all(d.detail.endswith("ell is not the staged first bags") for d in rep.failures)
+
+
 def test_fuzz_is_deterministic():
     a = tl.run_fuzz(FuzzConfig(trials=40, seed=3))
     b = tl.run_fuzz(FuzzConfig(trials=40, seed=3))

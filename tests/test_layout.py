@@ -81,10 +81,10 @@ def test_layout_checks_contiguity_once(monkeypatch):
     for module, name in (
         (pathdecomp, "normalize_unique_intro"),
         (pathdecomp, "intro_intervals"),
-        (layout, "normalize_unique_intro"),
+        (pathdecomp, "_staged_bags"),
+        (layout, "_staged_bags"),
     ):
         monkeypatch.setattr(module, name, staged_decomposition)
-    assert not hasattr(layout, "intro_intervals")
     built = []
     post_init = PathDecomposition.__post_init__
     monkeypatch.setattr(
@@ -197,18 +197,36 @@ def test_explain_rejects_invalid_decomposition():
         tl.explain_oversized_bag(g, PathDecomposition((("a1",),)), witness)
 
 
+def test_explain_stages_from_its_placement_map(monkeypatch):
+    """The staged decomposition comes from the placement map the induced
+    drawing used: the input is scanned once to validate and once to stage."""
+    from twolayer import pathdecomp
+
+    g, pd, witness = _crossing_pair_instance()
+    merged = PathDecomposition(pd.bags[1:])  # bag 1 introduces a1 and b1
+    scans = []
+    bag_indices = pathdecomp._bag_indices
+    monkeypatch.setattr(
+        pathdecomp, "_bag_indices", lambda p: scans.append(p) or bag_indices(p)
+    )
+    con = tl.explain_oversized_bag(g, merged, witness)
+    assert len(scans) == 2 and all(p is merged for p in scans)
+    assert con.normalized == tl.normalize_unique_intro(merged)
+    assert con.normalized.bags == pd.bags
+
+
 def test_explain_bag_checks_raise_certificate_error(monkeypatch):
     """The interval-overlap and bag-membership checks are raises, not
     asserts, so they also run under `python -O`."""
     from twolayer import layout
 
     g, pd, witness = _crossing_pair_instance()
-    normalize = layout.normalize_unique_intro
+    staged_bags = layout._staged_bags
 
-    def hollow_bags(pd):
-        return PathDecomposition(tuple(("zz",) for _ in normalize(pd).bags))
+    def hollow_bags(pd, first):
+        return PathDecomposition(tuple(("zz",) for _ in staged_bags(pd, first).bags))
 
-    monkeypatch.setattr(layout, "normalize_unique_intro", hollow_bags)
+    monkeypatch.setattr(layout, "_staged_bags", hollow_bags)
     with pytest.raises(tl.CertificateError, match="misses edge"):
         tl.explain_oversized_bag(g, pd, witness)
 
