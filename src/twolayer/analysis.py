@@ -248,6 +248,10 @@ def maximal_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
     endpoints and posB above the last accepted one.  A rejected edge either
     shares a vertex with an accepted edge or crosses the most recent one, so
     nothing rejected can ever rejoin; the sweep result is maximal.
+
+    The maximality check: an edge with both ends unmatched crosses no
+    matching edge, and so could be added, iff both ends fall in the same gap
+    between consecutive matching edges: two bisects per such edge.
     """
     accepted: list[Edge] = []
     used: set[str] = set()
@@ -260,8 +264,13 @@ def maximal_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
         accepted.append(e)
         used.update(e)
         last_pb = pb
-    for (u, v), (lo, hi) in crossed_runs(drawing, accepted).items():
-        if lo > hi and u not in used and v not in used:
+    pos_a, pos_b = drawing.pos_a, drawing.pos_b
+    a_ranks = [pos_a[u] for u, _ in accepted]
+    b_ranks = [pos_b[v] for _, v in accepted]
+    for u, v in drawing.graph.edges:
+        if u in used or v in used:
+            continue
+        if bisect.bisect(a_ranks, pos_a[u]) == bisect.bisect(b_ranks, pos_b[v]):
             raise CertificateError(f"sweep missed the addable edge {(u, v)!r}")
     return tuple(accepted)
 

@@ -19,7 +19,6 @@ from functools import cached_property
 from .analysis import (
     check_counting_bound,
     crossings_per_edge,
-    max_crossing_set,
     maximum_noncrossing_matching,
 )
 from .decompose import (
@@ -123,8 +122,8 @@ def _trial_drawing(config: FuzzConfig, trial: int) -> tuple[int, TwoLayerDrawing
 @dataclass
 class _Trial:
     """A trial's drawing and the results that its checks share, each computed
-    on first use: decompose and audit read one decomposition, layout and
-    per-edge one exact pathwidth."""
+    on first use: decompose, audit and counting read one decomposition,
+    layout and per-edge one exact pathwidth."""
 
     drawing: TwoLayerDrawing
     decomposition = cached_property(lambda self: decompose_drawing(self.drawing))
@@ -172,7 +171,10 @@ def _run_check(
         sub = drop_isolated_a(drawing)
         if not sub.graph.edges:
             return None, "skipped: no edges", None
-        k, _ = max_crossing_set(sub)
+        # k is the trial's chain count, so check_counting_bound's own
+        # max_crossing_set tests it against an independent algorithm; dropping
+        # isolated A-vertices leaves every crossing in place
+        k = trial.decomposition[1].k
         ell = len(maximum_noncrossing_matching(sub))
         d = max(sub.graph.degree(v) for v in sub.graph.b)
         report = check_counting_bound(sub, k, ell, d)

@@ -3,8 +3,9 @@
 A path decomposition is an ordered sequence of bags subject to the cover,
 edge, and contiguity conditions.  Pathwidth is computed exactly through the
 vertex-separation formulation (they coincide), by a search that expands only
-the prefix sets no costlier than the optimum.  It stays within a 2^n table,
-so the vertex cap (20 by default) remains.
+the prefix sets of vertices with an edge that are no costlier than the
+optimum.  Its table has 2^n entries for n such vertices, so isolated vertices
+cost nothing, while the vertex cap (20 by default) still counts them all.
 """
 
 from __future__ import annotations
@@ -157,25 +158,35 @@ def pathwidth_exact(
     {} < ... < S that add one vertex at a time, so f(S) = min over v in S of
     max(f(S - v), boundary(S)), and the pathwidth is f(V).
 
-    A bottleneck search from {} finds f(S) for every set with
-    f(S) <= f(V).  It expands sets in buckets of cost 0, 1, 2, ...; a set
+    An isolated vertex never joins a boundary, so f(S) = f(S & L), where L
+    holds the live vertices (degree >= 1), and the search runs over L alone:
+    its table has 2^|L| entries, while the cap still counts every vertex.
+    A bottleneck search from {} finds f(S) for every S within L with
+    f(S) <= f(L).  It expands sets in buckets of cost 0, 1, 2, ...; a set
     first reached from bucket w costs max(w, boundary), which is final since
-    every cheaper set was expanded before.  Costs go into a 2^n table, from
+    every cheaper set was expanded before.  Costs go into the table, from
     which each bucket is read back when its turn comes.  The search stops
-    once the bucket holding V is exhausted, so every unreached set costs
-    more than f(V).  The order is rebuilt from V by removing, at each step,
-    the lowest-index vertex v with f(S - v) <= f(S).  That is the choice a
-    full 2^n subset DP with the same tie-break makes, so the order equals
-    the DP's, not merely another optimal one.  The order converts to a
-    decomposition of exactly this width.
+    once the bucket holding L is exhausted, so every unreached set costs
+    more than f(L).
+
+    The order is rebuilt from V by removing, at each step, the lowest-index
+    vertex v with f(S - v) <= f(S), the tie-break of the full 2^n subset DP,
+    so the order equals the DP's, not merely another optimal one.  An
+    isolated vertex always qualifies and removing it leaves S & L as it
+    was, so the live removals follow from the table alone, and each step
+    takes the lower-indexed of the next live removal and the lowest isolated
+    vertex left.  The order converts to a decomposition of exactly this
+    width.
     """
     verts = graph.vertices
-    n = len(verts)
-    if n == 0:
+    if not verts:
         raise GraphError("pathwidth is undefined for the empty graph")
-    if n > cap:
-        raise CapExceededError(f"{n} vertices exceeds pathwidth cap {cap}")
-    index = {v: i for i, v in enumerate(verts)}
+    if len(verts) > cap:
+        raise CapExceededError(f"{len(verts)} vertices exceeds pathwidth cap {cap}")
+    nbrs = graph.neighbors
+    live = [i for i, v in enumerate(verts) if nbrs[v]]
+    index = {verts[i]: j for j, i in enumerate(live)}
+    n = len(live)
     nbr = [0] * n
     for u, v in graph.edges:
         nbr[index[u]] |= 1 << index[v]
@@ -222,6 +233,9 @@ def pathwidth_exact(
         if level[full] <= w:
             break
 
+    # isolated vertices by index, lowest last: each is removed before the
+    # first live removal of a higher index
+    isolated = [i for i in reversed(range(len(verts))) if not nbrs[verts[i]]]
     order_rev: list[str] = []
     s = full
     while s:
@@ -234,8 +248,12 @@ def pathwidth_exact(
             t ^= low
         else:
             raise CertificateError(f"no vertex attains the optimal separation {cost}")
-        order_rev.append(verts[low.bit_length() - 1])
+        i = live[low.bit_length() - 1]
+        while isolated and isolated[-1] < i:
+            order_rev.append(verts[isolated.pop()])
+        order_rev.append(verts[i])
         s ^= low
+    order_rev.extend(verts[i] for i in reversed(isolated))
     return level[full], tuple(reversed(order_rev))
 
 

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -281,6 +282,23 @@ def test_maximal_matching_raises_when_the_sweep_misses_an_edge(monkeypatch):
     monkeypatch.setattr(analysis, "_coords_sorted", lambda _d: full[:1])
     with pytest.raises(tl.CertificateError, match="sweep missed"):
         tl.maximal_noncrossing_matching(d)
+
+
+def test_maximal_matching_check_finds_a_missed_edge_in_any_gap(monkeypatch):
+    """Dropping any one edge of a rising matching from the sweep leaves it
+    addable in its gap, first, middle or last, and the check names it."""
+    from twolayer import analysis
+
+    a, b = ("a1", "a2", "a3"), ("b1", "b2", "b3")
+    g = BipartiteGraph(a, b, tuple(zip(a, b)))
+    d = TwoLayerDrawing(g, a, b)
+    full = analysis._coords_sorted(d)
+    for i, (_, _, missed) in enumerate(full):
+        monkeypatch.setattr(
+            analysis, "_coords_sorted", lambda _d, i=i: full[:i] + full[i + 1:]
+        )
+        with pytest.raises(tl.CertificateError, match=re.escape(repr(missed))):
+            tl.maximal_noncrossing_matching(d)
 
 
 # ------------------------------------------------------ crossed matching runs

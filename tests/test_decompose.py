@@ -181,6 +181,22 @@ def test_audit_finds_the_crossed_runs_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_decompose_finds_the_crossed_runs_once(monkeypatch):
+    """The matching's maximality check reads gap indices, so the bag build
+    is the only caller of crossed_runs in one decomposition."""
+    from twolayer import analysis, decompose
+
+    calls = []
+    real = analysis.crossed_runs
+    counted = lambda *args: calls.append(1) or real(*args)
+    monkeypatch.setattr(analysis, "crossed_runs", counted)
+    monkeypatch.setattr(decompose, "crossed_runs", counted)
+    _, d = tl.complete_binary_tree(3)
+    pd, cert = tl.decompose_drawing(d)
+    assert cert.matching and tl.validate_decomposition(d.graph, pd) == ()
+    assert len(calls) == 1
+
+
 def test_audit_vacuous_without_matching_edges():
     g = BipartiteGraph(("a1",), ("b1",), ())
     d = TwoLayerDrawing(g, ("a1",), ("b1",))

@@ -7,7 +7,15 @@ import json
 import pytest
 
 import twolayer as tl
-from twolayer import CheckStats, FuzzConfig, GraphError, decompose, fuzz
+from twolayer import (
+    BipartiteGraph,
+    CheckStats,
+    FuzzConfig,
+    GraphError,
+    TwoLayerDrawing,
+    decompose,
+    fuzz,
+)
 
 
 def test_config_validation():
@@ -176,6 +184,24 @@ def test_each_trial_decomposes_and_solves_pathwidth_once(monkeypatch):
         assert calls == {"decompose_drawing": 1, "pathwidth_exact": exact}, seed
         solved += exact
     assert solved > 10  # layout and per-edge read one pathwidth on these trials
+
+
+def test_counting_trial_finds_the_max_crossing_set_once(monkeypatch):
+    """The counting check takes k from the trial's chain cover, so the one
+    max_crossing_set call is check_counting_bound's test of that k."""
+    from twolayer import analysis
+
+    calls = []
+    real = analysis.max_crossing_set
+    counted = lambda d: calls.append(1) or real(d)
+    monkeypatch.setattr(analysis, "max_crossing_set", counted)
+    monkeypatch.setattr(fuzz, "max_crossing_set", counted, raising=False)
+    g = BipartiteGraph(("a1", "a2", "a3"), ("b1", "b2"),
+                       (("a1", "b2"), ("a2", "b1"), ("a3", "b1"), ("a3", "b2")))
+    drawing = TwoLayerDrawing(g, g.a, g.b)
+    verdict, detail, _ = fuzz._run_check("counting", fuzz._Trial(drawing))
+    assert verdict, detail
+    assert len(calls) == 1
 
 
 def test_crashing_check_becomes_replayable_failure(monkeypatch):

@@ -354,6 +354,54 @@ def test_pathwidth_equals_subset_dp_tuple():
     assert sizes == set(range(1, 15))
 
 
+def _with_isolated(rng, g, count):
+    """g with `count` isolated vertices inserted at random positions on
+    random rails, so they fall before, between and after the live ones."""
+    a, b = list(g.a), list(g.b)
+    for j in range(count):
+        side = a if rng.random() < 0.5 else b
+        side.insert(rng.randint(0, len(side)), f"z{j}")
+    return BipartiteGraph(tuple(a), tuple(b), g.edges)
+
+
+def test_pathwidth_with_isolated_vertices_equals_subset_dp_tuple():
+    """The search runs over the live vertices only, and the rebuild puts the
+    isolated ones where the full subset DP puts them."""
+    rng = random.Random(2012)
+    sizes = set()
+    for _ in range(60):
+        g = _random_graph(rng, max_side=6)
+        n = len(g.vertices)
+        g = _with_isolated(rng, g, rng.randint(1, min(6, 16 - n)))
+        assert tl.pathwidth_exact(g) == dp_pathwidth(g), g
+        sizes.add(len(g.vertices))
+    assert max(sizes) >= 15
+
+
+def test_edgeless_pathwidth_allocates_one_table_entry(monkeypatch):
+    """An edgeless graph at the vertex cap has width 0 and the DP's order
+    (every vertex attains f, so the rebuild removes the lowest index first,
+    as `dp_pathwidth` does on the smaller edgeless graphs of the corpus),
+    and its table has the single entry of the empty live set."""
+    from twolayer import pathdecomp
+
+    sizes = []
+
+    class RecordingTable(bytearray):
+        def __mul__(self, size):
+            sizes.append(size)
+            return bytearray(bytes(self) * size)
+
+    monkeypatch.setattr(pathdecomp, "bytearray", RecordingTable, raising=False)
+    g = BipartiteGraph(
+        tuple(f"a{i}" for i in range(10)), tuple(f"b{i}" for i in range(10)), ()
+    )
+    assert tl.pathwidth_exact(g) == (0, tuple(reversed(g.vertices)))
+    assert sizes == [1]
+    small = BipartiteGraph(g.a[:5], g.b[:5], ())
+    assert dp_pathwidth(small) == (0, tuple(reversed(small.vertices)))
+
+
 def test_order_to_decomposition_matches_rescanning_oracle():
     rng = random.Random(11)
     for g in _pathwidth_corpus():
