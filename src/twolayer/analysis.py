@@ -336,9 +336,11 @@ def _rising_chain(items: Iterable[tuple[int, int, Edge]]) -> tuple[Edge, ...]:
 #
 # Only ranks that carry an edge open a split: the quadrants of (p, q) hold
 # the same edges as those of (p', q'), where p' (q') is the largest A-rank
-# (B-rank) of an edge that is <= p (<= q), or 0.  So the scan visits those
-# ranks plus 0, row by row, and its first split in row-major order that
-# reaches a pair is also the first real one.
+# (B-rank) of an edge that is <= p (<= q), or 0, and rank 0 gives a = 0 or
+# b = 0.  Along a row, a and b step only at B-ranks of edges, so the scan
+# visits those steps, row by row, and its first split in row-major order
+# that reaches a pair is also the first real one.  Both sides are patience
+# sorting (Aldous & Diaconis 1999, "Longest increasing subsequences").
 #
 # Crossing edges share no endpoint, and S and T are matchings, so S and T
 # together are a matching of s + t edges: no (s,t)-crossing exists unless
@@ -371,56 +373,86 @@ def _st_splits(
     every capped pair, and its first split is fixed, so neither the Pareto
     maximum nor the first split of a Pareto-maximal pair can change later.
 
-    Row p takes a for every q from one sweep down the columns, over the
-    points left of p, and b from one sweep up them, over the points right
-    of p.  A sweep adds one column's points in decreasing key order, so no
-    chain holds two of them, and keeps no pile past the larger cap: such
-    piles never affect earlier ones.  The caps are separate because
+    Row p visits only the q where a or b steps, at most cap = max(s_cap,
+    t_cap) times each.  a >= j iff q < top_j, the largest first posB of a
+    rising chain of j edges left of p; level j keeps a staircase of such
+    chains, end posBs ascending beside the best first posB up to each end.
+    One capped patience sweep over the edges right of p, by posB and then
+    descending posA, gives the q where b reaches each j.  So a row costs
+    O(cap) bisects on the a side and at worst one pass over the edges right
+    of it on the b side.  The caps are separate because
     st_crossing_exists(s, t) caps each side at its own size."""
     edges = _st_search_edges(drawing, s_cap, t_cap, edge_cap)
     pa, pb = drawing.pos_a, drawing.pos_b
-    xs = sorted({0, *(pa[u] for u, _ in edges)})
-    ys = sorted({0, *(pb[v] for _, v in edges)})
-    # Column q's compressed A-ranks x: -x for the downward sweep, x for the
-    # upward one, both in decreasing key order.
-    down: list[list[int]] = [[] for _ in ys]
-    for u, v in sorted(edges, key=lambda e: pa[e[0]]):
-        down[bisect.bisect_left(ys, pb[v])].append(-bisect.bisect_left(xs, pa[u]))
-    up = [[-k for k in reversed(col)] for col in down]
     cap, full = max(s_cap, t_cap), (s_cap, t_cap)
+    # The edges by (posA, -posB), and those right of the row as one int each
+    # by (posB, -posA).
+    wa, wb = len(drawing.order_a) + 1, len(drawing.order_b) + 1
+    rows = sorted(edges, key=lambda e: pa[e[0]] * wb - pb[e[1]])
+    right = sorted(pb[v] * wa + wa - pa[u] for u, v in edges)
+    # levels[j]: (ends, firsts) over chains of j + 1 edges, top_(j+1) last
+    levels: list[tuple[list[int], list[int]]] = []
     splits: dict[tuple[int, int], tuple[int, int, bool]] = {}
     last_a = last_b = 0
-    for p in range(1, len(xs)):
-        a_row: list[int] = []  # a for q from the top column down to 0
+    for i, (u, v) in enumerate(rows, 1):
+        p, y = pa[u], pb[v]
+        del right[bisect.bisect_left(right, y * wa + wa - p)]
+        first = y  # first posB of the best chain of j + 1 edges ending here
+        for j in range(cap):
+            if j == len(levels):
+                levels.append(([y], [first]))
+                break  # no chain of the new level ends below y
+            ends, firsts = levels[j]
+            lo = bisect.bisect_left(ends, y)
+            hi = lo + 1 if lo < len(ends) and ends[lo] == y else lo
+            if not hi or firsts[hi - 1] < first:
+                hi = bisect.bisect_right(firsts, first, hi)
+                ends[lo:hi] = (y,)
+                firsts[lo:hi] = (first,)
+            if not lo:
+                break
+            first = firsts[lo - 1]
+        if i < len(rows) and pa[rows[i][0]] == p:
+            continue  # the row goes on
+        top = levels[0][1][-1]
+        limit = top * wa
+        b_at: list[int] = []  # b_at[j - 1]: the q where b reaches j
         tails: list[int] = []
-        for col in reversed(down):
-            a_row.append(len(tails))
-            for k in col:
-                if k < -p:
+        for k in right:
+            if k >= limit:
+                break
+            x = wa - k % wa
+            d = bisect.bisect_left(tails, x)
+            if d < len(tails):
+                tails[d] = x
+                continue
+            b_at.append(k // wa)
+            if d + 1 == cap:
+                break
+            tails.append(x)
+        # The steps of a and b in increasing q, up to top_1.
+        a, b = len(levels), 0
+        steps = iter(b_at)
+        qb = next(steps, top)
+        while b_at:
+            qa = levels[a - 1][1][-1]  # top_a
+            q = qa if qa < qb else qb
+            if qa == q:
+                a -= 1
+                if not a:
                     break
-                d = bisect.bisect_left(tails, k)
-                if d < len(tails):
-                    tails[d] = k
-                elif d < cap:
-                    tails.append(k)
-        tails = []
-        for q, col, a in zip(ys, up, reversed(a_row)):
-            if not a:
-                break  # a never grows along a row
-            for x in col:
-                if x <= p:
-                    break
-                d = bisect.bisect_left(tails, x)
-                if d < len(tails):
-                    tails[d] = x
-                elif d < cap:
-                    tails.append(x)
-            b = len(tails)
+            if qb == q:
+                b += 1
+                qb = next(steps, top)
             if not b or (a == last_a and b == last_b):
-                continue  # a repeated split realizes nothing new
+                continue
             last_a, last_b = a, b
-            splits.setdefault((min(a, s_cap), min(b, t_cap)), (xs[p], q, False))
-            splits.setdefault((min(b, s_cap), min(a, t_cap)), (xs[p], q, True))
+            st = (a if a < s_cap else s_cap, b if b < t_cap else t_cap)
+            ts = (b if b < s_cap else s_cap, a if a < t_cap else t_cap)
+            if st in splits and ts in splits:
+                continue  # both pairs have their first split already
+            splits.setdefault(st, (p, q, False))
+            splits.setdefault(ts, (p, q, True))
             if full in splits:
                 return splits
     return splits

@@ -1,9 +1,10 @@
 """Brute-force oracles that the tests compare the library against.
 
 Those that enumerate subsets or vertex orderings refuse inputs above a
-small cap with CapExceededError.  The last five are the library's former
+small cap with CapExceededError.  The last six are the library's former
 exact-pathwidth DP, order-to-bags conversion, minimal-unachievable filter,
-(s,t) split scan and unique-introduction staging, kept as references.
+(s,t) row scan (with and without its stop at the capped pair) and
+unique-introduction staging, kept as references.
 """
 
 import bisect
@@ -202,24 +203,36 @@ def naive_minimal_unachievable(frontier):
     )
 
 
-def full_st_splits(drawing: tl.TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap: int):
-    """analysis._st_splits without its stop at (s_cap, t_cap): the first
-    split in row-major order of every capped pair the drawing realizes."""
+def row_scan_st_splits(
+    drawing: tl.TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap: int, stop: bool = True
+) -> dict[tuple[int, int], tuple[int, int, bool]]:
+    """analysis._st_splits as a scan of every row: {capped (s,t) pair: first
+    split (p, q, swapped) in row-major order that realizes it}, up to the
+    split where (s_cap, t_cap) first appears, or over all splits unless
+    `stop`.
+
+    Row p takes a for every q from one sweep down the columns, over the
+    points left of p, and b from one sweep up them, over the points right
+    of p.  A sweep adds one column's points in decreasing key order, so no
+    chain holds two of them, and keeps no pile past the larger cap: such
+    piles never affect earlier ones."""
     from twolayer import analysis
 
     edges = analysis._st_search_edges(drawing, s_cap, t_cap, edge_cap)
     pa, pb = drawing.pos_a, drawing.pos_b
     xs = sorted({0, *(pa[u] for u, _ in edges)})
     ys = sorted({0, *(pb[v] for _, v in edges)})
+    # Column q's compressed A-ranks x: -x for the downward sweep, x for the
+    # upward one, both in decreasing key order.
     down: list[list[int]] = [[] for _ in ys]
     for u, v in sorted(edges, key=lambda e: pa[e[0]]):
         down[bisect.bisect_left(ys, pb[v])].append(-bisect.bisect_left(xs, pa[u]))
     up = [[-k for k in reversed(col)] for col in down]
-    cap = max(s_cap, t_cap)
+    cap, full = max(s_cap, t_cap), (s_cap, t_cap)
     splits: dict[tuple[int, int], tuple[int, int, bool]] = {}
     last_a = last_b = 0
     for p in range(1, len(xs)):
-        a_row: list[int] = []
+        a_row: list[int] = []  # a for q from the top column down to 0
         tails: list[int] = []
         for col in reversed(down):
             a_row.append(len(tails))
@@ -234,7 +247,7 @@ def full_st_splits(drawing: tl.TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap
         tails = []
         for q, col, a in zip(ys, up, reversed(a_row)):
             if not a:
-                break
+                break  # a never grows along a row
             for x in col:
                 if x <= p:
                     break
@@ -245,11 +258,19 @@ def full_st_splits(drawing: tl.TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap
                     tails.append(x)
             b = len(tails)
             if not b or (a == last_a and b == last_b):
-                continue
+                continue  # a repeated split realizes nothing new
             last_a, last_b = a, b
             splits.setdefault((min(a, s_cap), min(b, t_cap)), (xs[p], q, False))
             splits.setdefault((min(b, s_cap), min(a, t_cap)), (xs[p], q, True))
+            if stop and full in splits:
+                return splits
     return splits
+
+
+def full_st_splits(drawing: tl.TwoLayerDrawing, s_cap: int, t_cap: int, edge_cap: int):
+    """analysis._st_splits without its stop at (s_cap, t_cap): the first
+    split in row-major order of every capped pair the drawing realizes."""
+    return row_scan_st_splits(drawing, s_cap, t_cap, edge_cap, stop=False)
 
 
 def naive_normalize_unique_intro(pd: tl.PathDecomposition) -> tl.PathDecomposition:

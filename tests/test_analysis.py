@@ -14,7 +14,12 @@ from twolayer import BipartiteGraph, CapExceededError, GraphError, TwoLayerDrawi
 
 from conftest import crossing_pairs, drawings, random_corpus
 from oracles import _is_noncrossing_matching as oracle_noncrossing_matching
-from oracles import brute_max_crossing_set, full_st_splits, naive_st_crossing_exists
+from oracles import (
+    brute_max_crossing_set,
+    full_st_splits,
+    naive_st_crossing_exists,
+    row_scan_st_splits,
+)
 
 
 def _drawing(edges, order_a, order_b):
@@ -461,12 +466,14 @@ def test_st_profile_respects_caps():
 
 
 def test_st_profile_memory_is_linear_in_edges():
-    """The split scan holds one row at a time.  On the 400-edge star fan,
-    two tables over all 202 x 201 splits peak at about 1.7 KB per edge; one
-    row and the columns peak at about 0.12 KB."""
+    """The split search holds no table over the splits.  On the 400-edge
+    star fan, two tables over all 202 x 201 splits peak at about 1.7 KB per
+    edge; the search's two edge orders and its at most 16 staircases peak
+    at about 0.14 KB."""
     d = tl.star_fan_drawing(200)[1]
     m = len(d.graph.edges)
     d.pos_a, d.pos_b  # cached rank maps are the drawing's, not the scan's
+    tl.st_profile  # so is the lazy import of the analysis module
     tracemalloc.start()
     try:
         frontier = tl.st_profile(d)
@@ -702,7 +709,8 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
 
 
 class _CountingBisect:
-    """Stand-in for the bisect module that counts bisect_left calls."""
+    """Stand-in for the bisect module that counts bisect_left and
+    bisect_right calls."""
 
     def __init__(self):
         self.calls = 0
@@ -710,6 +718,10 @@ class _CountingBisect:
     def bisect_left(self, *args):
         self.calls += 1
         return bisect.bisect_left(*args)
+
+    def bisect_right(self, *args):
+        self.calls += 1
+        return bisect.bisect_right(*args)
 
 
 @pytest.mark.parametrize(
@@ -743,6 +755,57 @@ def test_st_splits_stop_at_the_capped_pair(monkeypatch, na, nb, p, seed, cap):
         assert analysis._pareto_max(fast) == analysis._pareto_max(full)
         assert analysis._pareto_max(full) == ((s_cap, t_cap),)
         assert fast_steps.calls < full_steps.calls, (s_cap, t_cap)
+
+
+def test_st_splits_match_the_row_scan():
+    """The split search returns the row scan's map item for item: the same
+    pairs, first splits and insertion order, and the same stop at the
+    capped pair.  Small caps cut chains on both sides short, the star fans
+    never reach their capped pair, and (41, 41) exceeds every chain of the
+    40 x 40 drawings."""
+    from twolayer import analysis
+
+    caps = ((16, 16), (1, 1), (2, 3), (3, 2), (1, 4), (4, 4))
+    cases = [(d, caps) for d in random_corpus(3000, seed=101, max_side=9)]
+    cases += [(tl.star_fan_drawing(n)[1], caps) for n in range(1, 40)]
+    rng = random.Random(103)
+    cases += [
+        (tl.random_drawing(40, 40, rng.uniform(0.02, 0.5), seed)[1], caps + ((41, 41),))
+        for seed in range(20)
+    ]
+    stopped = 0
+    for d, caps in cases:
+        for s_cap, t_cap in caps:
+            got = analysis._st_splits(d, s_cap, t_cap, analysis.DEFAULT_ST_EDGE_CAP)
+            want = row_scan_st_splits(d, s_cap, t_cap, analysis.DEFAULT_ST_EDGE_CAP)
+            assert list(got.items()) == list(want.items()), (d, s_cap, t_cap)
+            stopped += (s_cap, t_cap) in got
+    assert stopped > 3000
+
+
+def test_st_search_work_per_edge_is_bounded(monkeypatch):
+    """The 500-leg star fan never realizes (16, 16): its frontier is
+    (1, 16), (16, 1).  So the split search for its profile runs to its last
+    row, and so does the (3, 3) search: no (3, 3) witness exists, yet each
+    rail has at least 6 vertices that carry an edge.  The row scan took 502.5 bisects per edge
+    on the profile, a pass over every column and the centre's 500 edges in
+    each of 501 rows; a row of the search costs O(cap) bisects."""
+    from twolayer import analysis
+
+    d = tl.star_fan_drawing(500)[1]
+    edges = d.graph.edges
+    m = len(edges)
+    assert min(len({u for u, _ in edges}), len({v for _, v in edges})) >= 6
+    for search, expected in (
+        (lambda: tl.st_profile(d), ((1, 16), (16, 1))),
+        (lambda: tl.st_crossing_exists(d, 3, 3), None),
+    ):
+        steps = _CountingBisect()
+        monkeypatch.setattr(analysis, "bisect", steps)
+        got = search()
+        monkeypatch.undo()
+        assert got == expected
+        assert m < steps.calls < 50 * m, steps.calls
 
 
 # ---------------------------------------------------------- counting bound

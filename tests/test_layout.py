@@ -1,5 +1,7 @@
 """Decomposition-to-drawing layout and the oversized-bag explanation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +9,7 @@ import twolayer as tl
 from twolayer import BipartiteGraph, DecompositionError, GraphError, PathDecomposition
 
 from conftest import crossing_pairs, decompositions, random_corpus
+from oracles import row_scan_st_splits
 
 
 def _exact_pd(g):
@@ -133,6 +136,53 @@ def test_layout_random_graphs_meet_crossing_budget():
         assert cert.k == pw
         assert cert.max_crossing_ok, (g, cert.max_crossing, pw)
         assert cert.st_ok
+
+
+def test_layout_stages_merged_bags_on_fuzz_sized_graphs(monkeypatch):
+    """Merging adjacent bags of exact-pathwidth decompositions gives bags
+    that introduce several vertices at once, which the fuzz layout check
+    never passes: its bags come from vertex orders.  On such inputs the
+    placement map is the staged decomposition's first bags, both crossing
+    bounds hold, and every (k+1, k+1) split search that runs returns the
+    row scan's map."""
+    from twolayer import analysis
+
+    searches = []
+    st_splits = analysis._st_splits
+
+    def checked_splits(d, s_cap, t_cap, edge_cap):
+        got = st_splits(d, s_cap, t_cap, edge_cap)
+        want = row_scan_st_splits(d, s_cap, t_cap, edge_cap)
+        assert list(got.items()) == list(want.items()), (d, s_cap, t_cap)
+        searches.append((s_cap, t_cap))
+        return got
+
+    monkeypatch.setattr(analysis, "_st_splits", checked_splits)
+    rng = random.Random(79)
+    staged = staged_searches = 0
+    for _ in range(400):
+        na, nb, p = rng.randint(4, 10), rng.randint(4, 10), rng.uniform(0.05, 0.3)
+        g = tl.random_drawing(na, nb, p, seed=rng.randrange(1 << 30))[1].graph
+        _, pd = _exact_pd(g)
+        bags = list(pd.bags)
+        for _ in range(rng.randrange(min(4, len(bags)))):
+            i = rng.randrange(len(bags) - 1)
+            bags[i : i + 2] = [tuple(sorted(set(bags[i]) | set(bags[i + 1])))]
+        merged = PathDecomposition(tuple(bags))
+        ran = len(searches)
+        _, cert = tl.layout_decomposition(g, merged)
+        normalized = tl.normalize_unique_intro(merged)
+        first: dict[str, int] = {}
+        for i, bag in enumerate(normalized.bags, start=1):
+            for v in bag:
+                first.setdefault(v, i)
+        assert list(cert.ell.items()) == list(first.items())
+        assert cert.k == merged.width
+        assert cert.max_crossing_ok and cert.st_ok, (g, merged)
+        if normalized != merged:
+            staged += 1
+            staged_searches += len(searches) - ran
+    assert staged > 250 and staged_searches > 30, (staged, staged_searches)
 
 
 def test_layout_round_trip_back_to_decomposition():
