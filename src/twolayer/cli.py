@@ -3,15 +3,19 @@
 Subcommands: gen, analyze, decompose, layout, pathwidth, check-pd, fuzz,
 render.  Exit codes: 0 success, 1 validation/invariant failure, 2 usage,
 3 size cap exceeded.  Files are JSON (UTF-8) except rendered SVG; "-" as an
-input path reads stdin, and omitting --out writes to stdout.
+input path reads stdin, and omitting --out writes to stdout.  Outputs are
+written as they are produced.  A command opens its output files only after
+parsing, validation and the size caps have passed, and removes a file whose
+writing fails part-way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceededError, GraphError, TwoLayerError
 from .graphs import (
@@ -48,14 +52,29 @@ def _read(path: str) -> str:
         raise GraphError(f"{path}: input is not UTF-8 text: {exc}") from None
 
 
-def _write(path: str | None, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _write(path: str | None, chunks: str | Iterable[str]) -> None:
+    """Write a text, or its chunks as they are produced, ending it with a
+    newline.  A file that fails part-way is removed, not left truncated."""
+    lines = _ending_in_newline((chunks,) if isinstance(chunks, str) else chunks)
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        sys.stdout.writelines(lines)
+        return
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(lines)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def _ending_in_newline(chunks: Iterable[str]) -> Iterator[str]:
+    last = ""
+    for chunk in chunks:
+        yield chunk
+        last = chunk or last
+    if not last.endswith("\n"):
+        yield "\n"
 
 
 def _usage(message: str) -> int:
@@ -99,9 +118,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.format == "svg":
         if isinstance(payload, BipartiteGraph):
             return _usage("cannot render a bare graph; use --fan for a drawing")
-        from .render import render_drawing
+        from .render import _drawing_svg
 
-        _write(args.out, render_drawing(payload))
+        _write(args.out, _drawing_svg(payload))
         return 0
     if isinstance(payload, TwoLayerDrawing):
         _write(args.out, drawing_to_json(payload))
@@ -121,11 +140,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     from .decompose import certificate_to_json, decompose_drawing
-    from .pathdecomp import decomposition_to_json
+    from .pathdecomp import _decomposition_json
 
     drawing = drawing_from_json(_read(args.infile))
     pd, cert = decompose_drawing(drawing, st_cap=args.cap_st, edge_cap=args.cap_edges)
-    _write(args.out, decomposition_to_json(pd))
+    _write(args.out, _decomposition_json(pd))
     if args.cert:
         _write(args.cert, certificate_to_json(cert))
     return 0
@@ -205,13 +224,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     from .pathdecomp import _decomposition_from_object
-    from .render import render_decomposition, render_drawing
+    from .render import _decomposition_svg, _drawing_svg
 
     data = _load_object(_read(args.infile))
     if "bags" in data:
-        svg = render_decomposition(_decomposition_from_object(data))
+        svg = _decomposition_svg(_decomposition_from_object(data))
     else:
-        svg = render_drawing(_drawing_from_object(data))
+        svg = _drawing_svg(_drawing_from_object(data))
     _write(args.out, svg)
     return 0
 

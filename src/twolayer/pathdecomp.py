@@ -14,9 +14,10 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
+from json.encoder import encode_basestring_ascii
 from operator import eq
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
 from .graphs import DEFAULT_PATHWIDTH_CAP, BipartiteGraph, Edge
@@ -362,7 +363,26 @@ def _staged_bags(pd: PathDecomposition, first: dict[str, int]) -> PathDecomposit
 # ===================================================================
 
 def decomposition_to_json(pd: PathDecomposition) -> str:
-    return json.dumps({"bags": [list(bag) for bag in pd.bags]}, indent=2)
+    return "".join(_decomposition_json(pd))
+
+
+def _decomposition_json(pd: PathDecomposition) -> Iterator[str]:
+    """The chunks of decomposition_to_json, one per bag: the bytes of
+    json.dumps({"bags": ...}, indent=2), with each distinct id encoded once
+    by the C encoder that json.dumps uses."""
+    if not pd.bags:
+        yield '{\n  "bags": []\n}'
+        return
+    encoded = {v: encode_basestring_ascii(v) for v in set().union(*pd.bags)}
+    sep = '{\n  "bags": [\n    '
+    for bag in pd.bags:
+        if bag:
+            ids = ",\n      ".join(map(encoded.__getitem__, bag))
+            yield f"{sep}[\n      {ids}\n    ]"
+        else:
+            yield f"{sep}[]"
+        sep = ",\n    "
+    yield "\n  ]\n}"
 
 
 def decomposition_from_json(text: str) -> PathDecomposition:
@@ -378,7 +398,7 @@ def _decomposition_from_object(data: object) -> PathDecomposition:
         raise DecompositionError("decomposition JSON must have a 'bags' key")
     bags = data["bags"]
     if not isinstance(bags, list) or not all(
-        isinstance(bag, list) and all(isinstance(v, str) for v in bag)
+        isinstance(bag, list) and all(map(isinstance, bag, repeat(str)))
         for bag in bags
     ):
         raise DecompositionError("'bags' must be a list of lists of ids")

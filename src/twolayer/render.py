@@ -4,11 +4,14 @@ Drawings: side A on the y=0 rail, side B on the y=100 rail, each vertex at
 x = 40 * rank.  Straight segments make the combinatorial crossings visible
 literally.  Decompositions: bags as boxes left to right with their members
 listed.  Identical inputs give byte-identical documents.
+
+Each document is produced as a generator of chunks, which the CLI writes as
+they come, so no command holds a whole SVG; the public functions join them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .graphs import TwoLayerDrawing
 
@@ -21,17 +24,28 @@ RAIL_B_Y = 100
 MARGIN = 30
 
 
-def _svg(elements: list[str], min_x: int, min_y: int, width: int, height: int) -> str:
-    header = (
+def _svg_header(min_x: int, min_y: int, width: int, height: int) -> str:
+    return (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{min_x} {min_y} {width} {height}">'
+        f'viewBox="{min_x} {min_y} {width} {height}">\n'
     )
-    return "\n".join([header, *elements, "</svg>"]) + "\n"
 
 
 def render_drawing(drawing: TwoLayerDrawing) -> str:
     """Two rails, circles at ranks, straight edge segments."""
-    elements: list[str] = []
+    return "".join(_drawing_svg(drawing))
+
+
+def _drawing_svg(drawing: TwoLayerDrawing) -> Iterator[str]:
+    """The chunks of render_drawing: the header, one line per edge, one
+    circle and label per vertex, the closing tag."""
+    n = max(len(drawing.order_a), len(drawing.order_b), 1)
+    yield _svg_header(
+        min_x=0,
+        min_y=RAIL_A_Y - MARGIN,
+        width=X_STEP * (n + 1),
+        height=RAIL_B_Y - RAIL_A_Y + 2 * MARGIN,
+    )
     pos = {}
     for v in drawing.order_a:
         pos[v] = (X_STEP * drawing.pos_a[v], RAIL_A_Y)
@@ -39,27 +53,18 @@ def render_drawing(drawing: TwoLayerDrawing) -> str:
         pos[v] = (X_STEP * drawing.pos_b[v], RAIL_B_Y)
     for u, v in drawing.graph.edges:
         (x1, y1), (x2, y2) = pos[u], pos[v]
-        elements.append(
+        yield (
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            'stroke="black" stroke-width="1"/>'
+            'stroke="black" stroke-width="1"/>\n'
         )
     for v, (x, y) in pos.items():
-        elements.append(
-            f'<circle cx="{x}" cy="{y}" r="5" fill="white" stroke="black"/>'
-        )
         ty = y - 10 if y == RAIL_A_Y else y + 18
-        elements.append(
+        yield (
+            f'<circle cx="{x}" cy="{y}" r="5" fill="white" stroke="black"/>\n'
             f'<text x="{x}" y="{ty}" font-size="10" text-anchor="middle">'
-            f"{_escape(v)}</text>"
+            f"{_escape(v)}</text>\n"
         )
-    n = max(len(drawing.order_a), len(drawing.order_b), 1)
-    return _svg(
-        elements,
-        min_x=0,
-        min_y=RAIL_A_Y - MARGIN,
-        width=X_STEP * (n + 1),
-        height=RAIL_B_Y - RAIL_A_Y + 2 * MARGIN,
-    )
+    yield "</svg>\n"
 
 
 BOX_WIDTH = 90
@@ -69,31 +74,35 @@ LINE_HEIGHT = 14
 
 def render_decomposition(pd: PathDecomposition) -> str:
     """Bags as boxes in sequence order, members listed top to bottom."""
-    tallest = max((len(bag) for bag in pd.bags), default=0)
+    return "".join(_decomposition_svg(pd))
+
+
+def _decomposition_svg(pd: PathDecomposition) -> Iterator[str]:
+    """The chunks of render_decomposition: the header, one chunk per bag,
+    the closing tag.  Each distinct id is escaped once, and the y fragment
+    of each row is built once for all bags."""
+    bags = pd.bags
+    tallest = max(map(len, bags), default=0)
     box_h = LINE_HEIGHT * max(tallest, 1) + 24
-    elements: list[str] = []
-    for i, bag in enumerate(pd.bags):
+    total_w = 2 * MARGIN + max(len(bags) * (BOX_WIDTH + BOX_GAP) - BOX_GAP, BOX_WIDTH)
+    yield _svg_header(min_x=0, min_y=0, width=total_w, height=box_h + 2 * MARGIN)
+    escaped = {v: _escape(v) for v in set().union(*bags)}
+    rows = [
+        f'" y="{MARGIN + 16 + j * LINE_HEIGHT}" font-size="10" text-anchor="middle">'
+        for j in range(tallest)
+    ]
+    for i, bag in enumerate(bags):
         x = MARGIN + i * (BOX_WIDTH + BOX_GAP)
-        elements.append(
+        text = f'<text x="{x + BOX_WIDTH // 2}'
+        lines = [
             f'<rect x="{x}" y="{MARGIN}" width="{BOX_WIDTH}" height="{box_h}" '
-            'fill="none" stroke="black"/>'
-        )
-        elements.append(
-            f'<text x="{x + BOX_WIDTH // 2}" y="{MARGIN - 6}" font-size="10" '
-            f'text-anchor="middle">{i + 1}</text>'
-        )
-        for j, v in enumerate(bag):
-            ty = MARGIN + 16 + j * LINE_HEIGHT
-            elements.append(
-                f'<text x="{x + BOX_WIDTH // 2}" y="{ty}" font-size="10" '
-                f'text-anchor="middle">{_escape(v)}</text>'
-            )
-    total_w = 2 * MARGIN + max(
-        len(pd.bags) * (BOX_WIDTH + BOX_GAP) - BOX_GAP, BOX_WIDTH
-    )
-    return _svg(
-        elements, min_x=0, min_y=0, width=total_w, height=box_h + 2 * MARGIN
-    )
+            'fill="none" stroke="black"/>\n'
+            f'{text}" y="{MARGIN - 6}" font-size="10" text-anchor="middle">'
+            f"{i + 1}</text>\n"
+        ]
+        lines += [f"{text}{row}{escaped[v]}</text>\n" for row, v in zip(rows, bag)]
+        yield "".join(lines)
+    yield "</svg>\n"
 
 
 def _escape(text: str) -> str:

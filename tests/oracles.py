@@ -1,17 +1,22 @@
 """Brute-force oracles that the tests compare the library against.
 
 Those that enumerate subsets or vertex orderings refuse inputs above a
-small cap with CapExceededError.  The last six are the library's former
+small cap with CapExceededError.  The rest are the library's former
 exact-pathwidth DP, order-to-bags conversion, minimal-unachievable filter,
-(s,t) row scan (with and without its stop at the capped pair) and
-unique-introduction staging, kept as references.
+(s,t) row scan (with and without its stop at the capped pair),
+unique-introduction staging, and the join-based SVG and pd.json writers,
+kept as references.
 """
 
 import bisect
+import json
 from itertools import combinations, permutations
 
 import twolayer as tl
 from twolayer import CapExceededError, CertificateError, DecompositionError, GraphError
+from twolayer.render import (
+    BOX_GAP, BOX_WIDTH, LINE_HEIGHT, MARGIN, RAIL_A_Y, RAIL_B_Y, X_STEP,
+)
 
 
 def _is_noncrossing_matching(drawing: tl.TwoLayerDrawing, edges) -> bool:
@@ -303,3 +308,86 @@ def naive_normalize_unique_intro(pd: tl.PathDecomposition) -> tl.PathDecompositi
                 out.append(tuple(sorted(carried + new[:stop])))
         seen |= held
     return tl.PathDecomposition(tuple(out))
+
+
+# -------------------------------------------------- join-based writers
+
+def _join_svg(elements: list[str], min_x: int, min_y: int, width: int, height: int) -> str:
+    header = (
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{min_x} {min_y} {width} {height}">'
+    )
+    return "\n".join([header, *elements, "</svg>"]) + "\n"
+
+
+def _join_escape(text: str) -> str:
+    return (
+        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    )
+
+
+def join_render_drawing(drawing: tl.TwoLayerDrawing) -> str:
+    """tl.render_drawing as one list of element strings, joined."""
+    elements: list[str] = []
+    pos = {}
+    for v in drawing.order_a:
+        pos[v] = (X_STEP * drawing.pos_a[v], RAIL_A_Y)
+    for v in drawing.order_b:
+        pos[v] = (X_STEP * drawing.pos_b[v], RAIL_B_Y)
+    for u, v in drawing.graph.edges:
+        (x1, y1), (x2, y2) = pos[u], pos[v]
+        elements.append(
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            'stroke="black" stroke-width="1"/>'
+        )
+    for v, (x, y) in pos.items():
+        elements.append(
+            f'<circle cx="{x}" cy="{y}" r="5" fill="white" stroke="black"/>'
+        )
+        ty = y - 10 if y == RAIL_A_Y else y + 18
+        elements.append(
+            f'<text x="{x}" y="{ty}" font-size="10" text-anchor="middle">'
+            f"{_join_escape(v)}</text>"
+        )
+    n = max(len(drawing.order_a), len(drawing.order_b), 1)
+    return _join_svg(
+        elements,
+        min_x=0,
+        min_y=RAIL_A_Y - MARGIN,
+        width=X_STEP * (n + 1),
+        height=RAIL_B_Y - RAIL_A_Y + 2 * MARGIN,
+    )
+
+
+def join_render_decomposition(pd: tl.PathDecomposition) -> str:
+    """tl.render_decomposition as one list of element strings, joined."""
+    tallest = max((len(bag) for bag in pd.bags), default=0)
+    box_h = LINE_HEIGHT * max(tallest, 1) + 24
+    elements: list[str] = []
+    for i, bag in enumerate(pd.bags):
+        x = MARGIN + i * (BOX_WIDTH + BOX_GAP)
+        elements.append(
+            f'<rect x="{x}" y="{MARGIN}" width="{BOX_WIDTH}" height="{box_h}" '
+            'fill="none" stroke="black"/>'
+        )
+        elements.append(
+            f'<text x="{x + BOX_WIDTH // 2}" y="{MARGIN - 6}" font-size="10" '
+            f'text-anchor="middle">{i + 1}</text>'
+        )
+        for j, v in enumerate(bag):
+            ty = MARGIN + 16 + j * LINE_HEIGHT
+            elements.append(
+                f'<text x="{x + BOX_WIDTH // 2}" y="{ty}" font-size="10" '
+                f'text-anchor="middle">{_join_escape(v)}</text>'
+            )
+    total_w = 2 * MARGIN + max(
+        len(pd.bags) * (BOX_WIDTH + BOX_GAP) - BOX_GAP, BOX_WIDTH
+    )
+    return _join_svg(
+        elements, min_x=0, min_y=0, width=total_w, height=box_h + 2 * MARGIN
+    )
+
+
+def dumps_decomposition_to_json(pd: tl.PathDecomposition) -> str:
+    """tl.decomposition_to_json through json.dumps."""
+    return json.dumps({"bags": [list(bag) for bag in pd.bags]}, indent=2)

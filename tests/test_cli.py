@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import twolayer as tl
-from twolayer.cli import main
+from twolayer.cli import _write, main
 
 
 def run(capsys, *argv):
@@ -213,6 +213,86 @@ def test_pathwidth_cap_is_exit_3(capsys, tmp_path):
     graph_path.write_text(tl.graph_to_json(g))
     code, _, _ = run(capsys, "pathwidth", "--in", str(graph_path), "--cap-n", "10")
     assert code == 3
+
+
+# ---------------------------------------------------------------- outputs
+
+WIDE_DIGESTS = {
+    "pd.json": "9809c544358332853dd39d126f2083036c56efb155f4488de3ce0575d7f67792",
+    "cert.json": "2bdc3c02f118d4282817df846b1a393fa5d3e96edd2a670ad4793a74ba76bc64",
+    "pd.svg": "5a2ab42dd4143b78bd3cfe8db8d06c473e8328a46494e2efc8237da6221131c3",
+    "drawing.svg": "d70c0316698b536d317f3234beb2a58e0b67dd746906b61a8abb31141ef0c5a6",
+    "gen.svg": "d70c0316698b536d317f3234beb2a58e0b67dd746906b61a8abb31141ef0c5a6",
+}
+
+
+def test_wide_output_bytes_are_pinned(capsys, tmp_path):
+    """The streamed pd.json, cert.json and SVG writers keep the bytes of the
+    join-based ones on a 160x160 drawing with bags up to 271 wide."""
+    path = {name: str(tmp_path / name) for name in ("drawing.json", *WIDE_DIGESTS)}
+    gen = ("gen", "random", "--na", "160", "--nb", "160", "--p", "0.032", "--seed", "3")
+    for argv in (
+        (*gen, "--out", path["drawing.json"]),
+        (*gen, "--format", "svg", "--out", path["gen.svg"]),
+        ("decompose", "--in", path["drawing.json"],
+         "--out", path["pd.json"], "--cert", path["cert.json"]),
+        ("render", "--in", path["pd.json"], "--out", path["pd.svg"]),
+        ("render", "--in", path["drawing.json"], "--out", path["drawing.svg"]),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in WIDE_DIGESTS
+    }
+    assert digests == WIDE_DIGESTS
+
+
+def test_failed_render_writes_no_output(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bags": [["u", 1]]}')
+    out = tmp_path / "x.svg"
+    code, _, err = run(capsys, "render", "--in", str(bad), "--out", str(out))
+    assert code == 1
+    assert err == "error: 'bags' must be a list of lists of ids\n"
+    assert not out.exists()
+
+
+def test_capped_decompose_writes_no_output(capsys, tmp_path):
+    g = tl.BipartiteGraph(("a0", "a1"), ("b0",), (("a0", "b0"), ("a1", "b0")))
+    drawing_path = tmp_path / "d.json"
+    drawing_path.write_text(tl.drawing_to_json(tl.TwoLayerDrawing(g, g.a, g.b)))
+    pd_path, cert_path = tmp_path / "pd.json", tmp_path / "cert.json"
+    code, out, err = run(
+        capsys, "decompose", "--in", str(drawing_path), "--cap-edges", "1",
+        "--out", str(pd_path), "--cert", str(cert_path),
+    )
+    assert code == 3 and out == "" and err.startswith("error: ")
+    assert not pd_path.exists() and not cert_path.exists()
+
+
+def test_write_removes_a_file_that_fails_part_way(tmp_path):
+    def chunks():
+        yield "<svg>\n"
+        raise RuntimeError("renderer failed")
+
+    out = tmp_path / "x.svg"
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        _write(str(out), chunks())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "chunks, text",
+    [("", "\n"), ("a", "a\n"), ("a\n", "a\n"), ([], "\n"), (["a", "b"], "ab\n"),
+     (["a\n", ""], "a\n"), (["", ""], "\n")],
+)
+def test_write_ends_the_output_with_one_newline(capsys, tmp_path, chunks, text):
+    """Chunks are written as their join would be: ended by a newline, added
+    only when missing, the same on stdout and in a file."""
+    _write(None, chunks)
+    assert capsys.readouterr().out == text
+    _write(str(tmp_path / "out"), iter(chunks))
+    assert (tmp_path / "out").read_text() == text
 
 
 # ----------------------------------------------------------------- render

@@ -552,3 +552,10 @@ def test_decomposition_json_round_trip():
 def test_decomposition_json_rejects_malformed(text):
     with pytest.raises(DecompositionError):
         tl.decomposition_from_json(text)
+
+
+@pytest.mark.parametrize("bags", [[["x"], "y"], [["x", 1]], [["x"], [None]], {}])
+def test_malformed_bags_give_one_message(bags):
+    """A bag that is not a list and an id that is not a string fail alike."""
+    with pytest.raises(DecompositionError, match="^'bags' must be a list of lists of ids$"):
+        tl.decomposition_from_json(json.dumps({"bags": bags}))
