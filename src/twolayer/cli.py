@@ -3,10 +3,10 @@
 Subcommands: gen, analyze, decompose, layout, pathwidth, check-pd, fuzz,
 render.  Exit codes: 0 success, 1 validation/invariant failure, 2 usage,
 3 size cap exceeded.  Files are JSON (UTF-8) except rendered SVG; "-" as an
-input path reads stdin, and omitting --out writes to stdout.  Outputs are
-written as they are produced.  A command opens its output files only after
-parsing, validation and the size caps have passed, and removes a file whose
-writing fails part-way.
+input path reads stdin, and omitting --out writes to stdout.  SVG and pd.json
+are written as they are produced.  A command opens its output files only
+after parsing, validation and the size caps have passed, and removes a
+regular file whose writing fails part-way.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
-from typing import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
+from typing import Callable, Iterator, TextIO
 
 from .errors import CapExceededError, GraphError, TwoLayerError
 from .graphs import (
@@ -52,29 +54,31 @@ def _read(path: str) -> str:
         raise GraphError(f"{path}: input is not UTF-8 text: {exc}") from None
 
 
-def _write(path: str | None, chunks: str | Iterable[str]) -> None:
-    """Write a text, or its chunks as they are produced, ending it with a
-    newline.  A file that fails part-way is removed, not left truncated."""
-    lines = _ending_in_newline((chunks,) if isinstance(chunks, str) else chunks)
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Stdout, or the file at ``path``.  If writing the file fails part-way,
+    the file is removed when it is a regular file reached by no symlink, so
+    a device, a FIFO or a link is never unlinked; the error propagates."""
     if path is None:
-        sys.stdout.writelines(lines)
+        yield sys.stdout
         return
     fh = open(path, "w", encoding="utf-8")
+    opened = os.fstat(fh.fileno())
     try:
         with fh:
-            fh.writelines(lines)
-    except BaseException:
-        os.remove(path)
+            yield fh
+    except Exception:
+        with suppress(OSError):
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(path)):
+                os.remove(path)
         raise
 
 
-def _ending_in_newline(chunks: Iterable[str]) -> Iterator[str]:
-    last = ""
-    for chunk in chunks:
-        yield chunk
-        last = chunk or last
-    if not last.endswith("\n"):
-        yield "\n"
+def _write(path: str | None, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _usage(message: str) -> int:
@@ -118,9 +122,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.format == "svg":
         if isinstance(payload, BipartiteGraph):
             return _usage("cannot render a bare graph; use --fan for a drawing")
-        from .render import _drawing_svg
+        from .render import render_drawing
 
-        _write(args.out, _drawing_svg(payload))
+        with _output(args.out) as fh:
+            render_drawing(payload, fh)
         return 0
     if isinstance(payload, TwoLayerDrawing):
         _write(args.out, drawing_to_json(payload))
@@ -140,11 +145,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     from .decompose import certificate_to_json, decompose_drawing
-    from .pathdecomp import _decomposition_json
+    from .pathdecomp import decomposition_to_json
 
     drawing = drawing_from_json(_read(args.infile))
     pd, cert = decompose_drawing(drawing, st_cap=args.cap_st, edge_cap=args.cap_edges)
-    _write(args.out, _decomposition_json(pd))
+    with _output(args.out) as fh:
+        decomposition_to_json(pd, fh)
+        fh.write("\n")
     if args.cert:
         _write(args.cert, certificate_to_json(cert))
     return 0
@@ -224,14 +231,17 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     from .pathdecomp import _decomposition_from_object
-    from .render import _decomposition_svg, _drawing_svg
+    from .render import render_decomposition, render_drawing
 
     data = _load_object(_read(args.infile))
     if "bags" in data:
-        svg = _decomposition_svg(_decomposition_from_object(data))
+        pd = _decomposition_from_object(data)
+        with _output(args.out) as fh:
+            render_decomposition(pd, fh)
     else:
-        svg = _drawing_svg(_drawing_from_object(data))
-    _write(args.out, svg)
+        drawing = _drawing_from_object(data)
+        with _output(args.out) as fh:
+            render_drawing(drawing, fh)
     return 0
 
 

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .errors import (
     CapExceededError,
@@ -445,6 +445,15 @@ def _drawing_from_object(data: dict) -> TwoLayerDrawing:
         tuple(_str_list(data["orderA"], "orderA")),
         tuple(_str_list(data["orderB"], "orderB")),
     )
+
+
+def _join_or_write(chunks: Iterable[str], out: TextIO | None) -> str | None:
+    """The joined chunks, or None once they are written to ``out`` one by
+    one, so that a writer need not hold its whole document."""
+    if out is None:
+        return "".join(chunks)
+    out.writelines(chunks)
+    return None
 
 
 def _load_object(text: str) -> dict:

@@ -14,13 +14,12 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import compress
 from operator import eq
-from typing import Iterator, Sequence
+from typing import Sequence, TextIO
 
 from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
-from .graphs import DEFAULT_PATHWIDTH_CAP, BipartiteGraph, Edge
+from .graphs import DEFAULT_PATHWIDTH_CAP, BipartiteGraph, Edge, _join_or_write
 
 
 @dataclass(frozen=True)
@@ -362,27 +361,12 @@ def _staged_bags(pd: PathDecomposition, first: dict[str, int]) -> PathDecomposit
 # JSON
 # ===================================================================
 
-def decomposition_to_json(pd: PathDecomposition) -> str:
-    return "".join(_decomposition_json(pd))
-
-
-def _decomposition_json(pd: PathDecomposition) -> Iterator[str]:
-    """The chunks of decomposition_to_json, one per bag: the bytes of
-    json.dumps({"bags": ...}, indent=2), with each distinct id encoded once
-    by the C encoder that json.dumps uses."""
-    if not pd.bags:
-        yield '{\n  "bags": []\n}'
-        return
-    encoded = {v: encode_basestring_ascii(v) for v in set().union(*pd.bags)}
-    sep = '{\n  "bags": [\n    '
-    for bag in pd.bags:
-        if bag:
-            ids = ",\n      ".join(map(encoded.__getitem__, bag))
-            yield f"{sep}[\n      {ids}\n    ]"
-        else:
-            yield f"{sep}[]"
-        sep = ",\n    "
-    yield "\n  ]\n}"
+def decomposition_to_json(pd: PathDecomposition, out: TextIO | None = None) -> str | None:
+    """``{"bags": [...]}`` indented by 2.  Returns the text, or writes it to
+    ``out`` as it is encoded and returns None.  The encoder writes the bag
+    tuples as lists, so no copy of them is made."""
+    chunks = json.JSONEncoder(indent=2).iterencode({"bags": pd.bags})
+    return _join_or_write(chunks, out)
 
 
 def decomposition_from_json(text: str) -> PathDecomposition:
@@ -398,7 +382,7 @@ def _decomposition_from_object(data: object) -> PathDecomposition:
         raise DecompositionError("decomposition JSON must have a 'bags' key")
     bags = data["bags"]
     if not isinstance(bags, list) or not all(
-        isinstance(bag, list) and all(map(isinstance, bag, repeat(str)))
+        isinstance(bag, list) and all(isinstance(v, str) for v in bag)
         for bag in bags
     ):
         raise DecompositionError("'bags' must be a list of lists of ids")

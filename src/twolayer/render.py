@@ -5,15 +5,16 @@ x = 40 * rank.  Straight segments make the combinatorial crossings visible
 literally.  Decompositions: bags as boxes left to right with their members
 listed.  Identical inputs give byte-identical documents.
 
-Each document is produced as a generator of chunks, which the CLI writes as
-they come, so no command holds a whole SVG; the public functions join them.
+Each document is produced as a generator of chunks, one per bag or element.
+The public functions join them, or write them to ``out`` as they come, so
+that the CLI never holds a whole SVG.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, TextIO
 
-from .graphs import TwoLayerDrawing
+from .graphs import TwoLayerDrawing, _join_or_write
 
 if TYPE_CHECKING:  # an annotation only, so `gen --format svg` skips pathdecomp
     from .pathdecomp import PathDecomposition
@@ -31,14 +32,15 @@ def _svg_header(min_x: int, min_y: int, width: int, height: int) -> str:
     )
 
 
-def render_drawing(drawing: TwoLayerDrawing) -> str:
-    """Two rails, circles at ranks, straight edge segments."""
-    return "".join(_drawing_svg(drawing))
+def render_drawing(drawing: TwoLayerDrawing, out: TextIO | None = None) -> str | None:
+    """Two rails, circles at ranks, straight edge segments.  Returns the
+    document, or writes it to ``out`` chunk by chunk and returns None."""
+    return _join_or_write(_drawing_svg(drawing), out)
 
 
 def _drawing_svg(drawing: TwoLayerDrawing) -> Iterator[str]:
-    """The chunks of render_drawing: the header, one line per edge, one
-    circle and label per vertex, the closing tag."""
+    """The header, one line per edge, one circle and label per vertex, the
+    closing tag."""
     n = max(len(drawing.order_a), len(drawing.order_b), 1)
     yield _svg_header(
         min_x=0,
@@ -72,36 +74,36 @@ BOX_GAP = 20
 LINE_HEIGHT = 14
 
 
-def render_decomposition(pd: PathDecomposition) -> str:
-    """Bags as boxes in sequence order, members listed top to bottom."""
-    return "".join(_decomposition_svg(pd))
+def render_decomposition(pd: PathDecomposition, out: TextIO | None = None) -> str | None:
+    """Bags as boxes in sequence order, members listed top to bottom.
+    Returns the document, or writes it to ``out`` bag by bag and returns
+    None."""
+    return _join_or_write(_decomposition_svg(pd), out)
 
 
 def _decomposition_svg(pd: PathDecomposition) -> Iterator[str]:
-    """The chunks of render_decomposition: the header, one chunk per bag,
-    the closing tag.  Each distinct id is escaped once, and the y fragment
-    of each row is built once for all bags."""
-    bags = pd.bags
-    tallest = max(map(len, bags), default=0)
+    """The header, one chunk per bag, the closing tag."""
+    tallest = max((len(bag) for bag in pd.bags), default=0)
     box_h = LINE_HEIGHT * max(tallest, 1) + 24
-    total_w = 2 * MARGIN + max(len(bags) * (BOX_WIDTH + BOX_GAP) - BOX_GAP, BOX_WIDTH)
+    total_w = 2 * MARGIN + max(
+        len(pd.bags) * (BOX_WIDTH + BOX_GAP) - BOX_GAP, BOX_WIDTH
+    )
     yield _svg_header(min_x=0, min_y=0, width=total_w, height=box_h + 2 * MARGIN)
-    escaped = {v: _escape(v) for v in set().union(*bags)}
-    rows = [
-        f'" y="{MARGIN + 16 + j * LINE_HEIGHT}" font-size="10" text-anchor="middle">'
-        for j in range(tallest)
-    ]
-    for i, bag in enumerate(bags):
+    for i, bag in enumerate(pd.bags):
         x = MARGIN + i * (BOX_WIDTH + BOX_GAP)
-        text = f'<text x="{x + BOX_WIDTH // 2}'
-        lines = [
+        elements = [
             f'<rect x="{x}" y="{MARGIN}" width="{BOX_WIDTH}" height="{box_h}" '
-            'fill="none" stroke="black"/>\n'
-            f'{text}" y="{MARGIN - 6}" font-size="10" text-anchor="middle">'
-            f"{i + 1}</text>\n"
+            'fill="none" stroke="black"/>\n',
+            f'<text x="{x + BOX_WIDTH // 2}" y="{MARGIN - 6}" font-size="10" '
+            f'text-anchor="middle">{i + 1}</text>\n',
         ]
-        lines += [f"{text}{row}{escaped[v]}</text>\n" for row, v in zip(rows, bag)]
-        yield "".join(lines)
+        for j, v in enumerate(bag):
+            ty = MARGIN + 16 + j * LINE_HEIGHT
+            elements.append(
+                f'<text x="{x + BOX_WIDTH // 2}" y="{ty}" font-size="10" '
+                f'text-anchor="middle">{_escape(v)}</text>\n'
+            )
+        yield "".join(elements)
     yield "</svg>\n"
 
 

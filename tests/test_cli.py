@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 import twolayer as tl
-from twolayer.cli import _write, main
+from twolayer.cli import _output, _write, main
 
 
 def run(capsys, *argv):
@@ -270,29 +271,53 @@ def test_capped_decompose_writes_no_output(capsys, tmp_path):
     assert not pd_path.exists() and not cert_path.exists()
 
 
-def test_write_removes_a_file_that_fails_part_way(tmp_path):
-    def chunks():
-        yield "<svg>\n"
-        raise RuntimeError("renderer failed")
-
-    out = tmp_path / "x.svg"
+def _fail_while_writing(path):
     with pytest.raises(RuntimeError, match="renderer failed"):
-        _write(str(out), chunks())
+        with _output(str(path)) as fh:
+            fh.write("<svg>\n")
+            raise RuntimeError("renderer failed")
+
+
+def test_output_removes_a_file_that_fails_part_way(tmp_path):
+    out = tmp_path / "x.svg"
+    _fail_while_writing(out)
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "chunks, text",
-    [("", "\n"), ("a", "a\n"), ("a\n", "a\n"), ([], "\n"), (["a", "b"], "ab\n"),
-     (["a\n", ""], "a\n"), (["", ""], "\n")],
-)
-def test_write_ends_the_output_with_one_newline(capsys, tmp_path, chunks, text):
-    """Chunks are written as their join would be: ended by a newline, added
-    only when missing, the same on stdout and in a file."""
-    _write(None, chunks)
-    assert capsys.readouterr().out == text
-    _write(str(tmp_path / "out"), iter(chunks))
-    assert (tmp_path / "out").read_text() == text
+def test_output_removes_no_fifo_and_no_symlink(tmp_path):
+    """Only a regular file named directly is removed; a FIFO, a device or a
+    symlink given as --out stays where it is."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+    try:
+        _fail_while_writing(fifo)
+    finally:
+        os.close(reader)
+    assert fifo.exists()
+
+    target, link = tmp_path / "target", tmp_path / "link"
+    link.symlink_to(target)
+    _fail_while_writing(link)
+    assert link.is_symlink() and target.exists()
+
+
+def test_output_keeps_the_error_when_removal_fails(tmp_path, monkeypatch):
+    def refuse(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(os, "remove", refuse)
+    out = tmp_path / "x.svg"
+    _fail_while_writing(out)
+    assert out.exists()
+
+
+@pytest.mark.parametrize("text, written", [("", "\n"), ("a", "a\n"), ("a\n", "a\n")])
+def test_write_ends_the_output_with_one_newline(capsys, tmp_path, text, written):
+    _write(None, text)
+    assert capsys.readouterr().out == written
+    _write(str(tmp_path / "out"), text)
+    assert (tmp_path / "out").read_text() == written
 
 
 # ----------------------------------------------------------------- render

@@ -7,9 +7,7 @@ import pytest
 
 import twolayer as tl
 from twolayer import BipartiteGraph, PathDecomposition, TwoLayerDrawing
-from twolayer.cli import _write
-from twolayer.pathdecomp import _decomposition_json
-from twolayer.render import _decomposition_svg
+from twolayer.cli import _output
 
 from oracles import dumps_decomposition_to_json, join_render_decomposition, join_render_drawing
 
@@ -117,16 +115,18 @@ def test_decomposition_writers_match_join_oracles(make):
     assert tl.decomposition_to_json(pd) == dumps_decomposition_to_json(pd)
 
 
-@pytest.mark.parametrize("chunks", [_decomposition_svg, _decomposition_json])
-def test_streamed_writer_holds_a_small_part_of_its_output(tmp_path, chunks):
-    """Written through the CLI, a document never exists whole in memory: the
-    traced peak stays below a quarter of the file (4.9 MB of SVG, 0.9 MB of
-    pd.json), where a joined document is held several times over."""
+@pytest.mark.parametrize("write", [tl.render_decomposition, tl.decomposition_to_json])
+def test_streamed_writer_holds_a_small_part_of_its_output(tmp_path, write):
+    """Written as the CLI writes it, a document never exists whole in
+    memory: the traced peak stays below a quarter of the file (4.9 MB of
+    SVG, 0.9 MB of pd.json), where a joined document is held several times
+    over."""
     pd = wide_decomposition()
     path = tmp_path / "out"
     tracemalloc.start()
     try:
-        _write(str(path), chunks(pd))
+        with _output(str(path)) as fh:
+            assert write(pd, fh) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
