@@ -1,6 +1,5 @@
 """The randomized invariant sweep and its failure-replay machinery."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -89,7 +88,15 @@ def test_layout_check_fails_on_a_wrong_placement(monkeypatch):
     def shifted(graph, pd):
         drawing, cert = real(graph, pd)
         ell = {v: i + 1 for v, i in cert.ell.items()}
-        return drawing, dataclasses.replace(cert, ell=ell)
+        altered = tl.LayoutCertificate(
+            k=cert.k,
+            ell=ell,
+            max_crossing=cert.max_crossing,
+            max_crossing_ok=cert.max_crossing_ok,
+            st_ok=cert.st_ok,
+            edge_cap=cert.edge_cap,
+        )
+        return drawing, altered
 
     monkeypatch.setattr(fuzz, "layout_decomposition", shifted)
     rep = tl.run_fuzz(FuzzConfig(trials=20, seed=7, checks=("layout",)))
@@ -223,7 +230,7 @@ def test_crashing_check_becomes_replayable_failure(monkeypatch):
         assert dump.certificate_json is None and not dump.inverted
         assert tl.replay_failure(dump, config) == dump
     # inverting the crashing check does not turn its crash into a pass
-    inverted = dataclasses.replace(config, invert_check="audit")
+    inverted = FuzzConfig(trials=12, seed=7, invert_check="audit")
     assert tl.run_fuzz(inverted).failures == rep.failures
 
 

@@ -89,9 +89,9 @@ def test_layout_checks_contiguity_once(monkeypatch):
     ):
         monkeypatch.setattr(module, name, staged_decomposition)
     built = []
-    post_init = PathDecomposition.__post_init__
+    init = PathDecomposition.__init__
     monkeypatch.setattr(
-        PathDecomposition, "__post_init__", lambda p: built.append(p) or post_init(p)
+        PathDecomposition, "__init__", lambda p, bags: built.append(p) or init(p, bags)
     )
     _, cert = tl.layout_decomposition(g, merged)
     assert len(scans) == 2 and all(p is merged for p in scans)
