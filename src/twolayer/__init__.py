@@ -56,24 +56,26 @@ _EXPORTS = {
         "report_to_json",
         "run_fuzz",
     ),
-    "graphs": (
-        "BipartiteGraph",
-        "Edge",
-        "TwoLayerDrawing",
+    "generators": (
         "bipartition_from_edges",
         "caterpillar_layout",
         "complete_binary_tree",
         "connected_components",
+        "grid_graph",
+        "is_caterpillar",
+        "is_connected",
+        "star_fan_drawing",
+        "subdivided_star",
+    ),
+    "graphs": (
+        "BipartiteGraph",
+        "Edge",
+        "TwoLayerDrawing",
         "drawing_from_json",
         "drawing_to_json",
         "graph_from_json",
         "graph_to_json",
-        "grid_graph",
-        "is_caterpillar",
-        "is_connected",
         "random_drawing",
-        "star_fan_drawing",
-        "subdivided_star",
     ),
     "layout": (
         "BagContradiction",

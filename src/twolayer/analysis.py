@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, CertificateError, GraphError
-from .graphs import DEFAULT_PROFILE_CAP, DEFAULT_ST_EDGE_CAP, Edge, TwoLayerDrawing
+from .graphs import DEFAULT_PROFILE_CAP, DEFAULT_ST_EDGE_CAP, Edge, TwoLayerDrawing, _Frozen
 
 
 def _coords_sorted(drawing: TwoLayerDrawing) -> list[tuple[int, int, Edge]]:
@@ -66,18 +65,23 @@ def crossings_per_edge(drawing: TwoLayerDrawing) -> dict[Edge, int]:
 # witnesses
 # ===================================================================
 
-@dataclass(frozen=True)
-class CrossingWitness:
+class CrossingWitness(_Frozen):
     """Concrete edge sets certifying a crossing pattern.
 
     kind "k": `edges` pairwise cross.  kind "st": every edge of `s_edges`
     crosses every edge of `t_edges`, and each set is a non-crossing matching.
     """
 
-    kind: str  # "k" | "st"
-    edges: tuple[Edge, ...] = ()
-    s_edges: tuple[Edge, ...] = ()
-    t_edges: tuple[Edge, ...] = ()
+    _fields = ("kind", "edges", "s_edges", "t_edges")
+
+    def __init__(
+        self,
+        kind: str,  # "k" | "st"
+        edges: tuple[Edge, ...] = (),
+        s_edges: tuple[Edge, ...] = (),
+        t_edges: tuple[Edge, ...] = (),
+    ) -> None:
+        vars(self).update(kind=kind, edges=edges, s_edges=s_edges, t_edges=t_edges)
 
     def verify(self, drawing: TwoLayerDrawing) -> bool:
         """Re-validate the witness from raw coordinates; GraphError if it
@@ -157,8 +161,7 @@ def max_crossing_set(drawing: TwoLayerDrawing) -> tuple[int, CrossingWitness]:
 # chain covers
 # ===================================================================
 
-@dataclass(frozen=True)
-class ChainCover:
+class ChainCover(_Frozen):
     """Partition of the edges into non-crossing chains, plus an orientation.
 
     Each chain is listed in dominance order.  Every edge carries one arc
@@ -166,8 +169,12 @@ class ChainCover:
     so total out-degree is at most the number of chains.
     """
 
-    chains: tuple[tuple[Edge, ...], ...]
-    arcs: dict[Edge, tuple[str, str]]
+    _fields = ("chains", "arcs")
+
+    def __init__(
+        self, chains: tuple[tuple[Edge, ...], ...], arcs: dict[Edge, tuple[str, str]]
+    ) -> None:
+        vars(self).update(chains=chains, arcs=arcs)
 
     @cached_property
     def out_map(self) -> dict[str, tuple[str, ...]]:
@@ -516,8 +523,7 @@ def st_profile(
 # counting bound
 # ===================================================================
 
-@dataclass(frozen=True)
-class CountingBoundReport:
+class CountingBoundReport(NamedTuple):
     """Result of checking |A| <= k*l*d under the four degree/crossing
     hypotheses.  Hypothesis failures are reported separately so a false
     `holds` is meaningful only when `hypotheses_ok`."""

@@ -5,13 +5,15 @@ render.  Exit codes: 0 success, 1 validation/invariant failure, 2 usage,
 3 size cap exceeded.  Files are JSON (UTF-8) except rendered SVG; "-" as an
 input path reads stdin, and omitting --out writes to stdout.  SVG and pd.json
 are written as they are produced.  A command opens its output files only
-after parsing, validation and the size caps have passed, and removes a
-regular file whose writing fails part-way.
+after parsing, validation and the size caps have passed, opens all of them
+before it writes any, and removes the regular files it opened when one fails
+to open or to be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -32,15 +34,11 @@ from .graphs import (
     TwoLayerDrawing,
     _drawing_from_object,
     _load_object,
-    complete_binary_tree,
     drawing_from_json,
     drawing_to_json,
     graph_from_json,
     graph_to_json,
-    grid_graph,
     random_drawing,
-    star_fan_drawing,
-    subdivided_star,
 )
 
 
@@ -74,6 +72,29 @@ def _output(path: str | None) -> Iterator[TextIO]:
         raise
 
 
+@contextmanager
+def _outputs(
+    path: str | None, cert: str | None
+) -> Iterator[tuple[TextIO, TextIO | None]]:
+    """``_output(path)`` and, if ``cert`` is given, ``_output(cert)``, both
+    opened before either is written, so that a failure on either removes
+    both regular files.  Two handles on one regular file would interleave,
+    so naming the same one twice is an error."""
+    with _output(path) as fh:
+        if not cert:
+            yield fh, None
+            return
+        with _output(cert) as cert_fh:
+            opened = os.fstat(cert_fh.fileno())
+            if (
+                path is not None
+                and stat.S_ISREG(opened.st_mode)
+                and os.path.samestat(opened, os.fstat(fh.fileno()))
+            ):
+                raise OSError(errno.EINVAL, "--cert names the --out file", cert)
+            yield fh, cert_fh
+
+
 def _write(path: str | None, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -105,6 +126,8 @@ def _int_from(low: int) -> Callable[[str], int]:
 # Each handler imports the modules it runs, so a command loads no others.
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import complete_binary_tree, grid_graph, star_fan_drawing, subdivided_star
+
     try:
         if args.family == "tree":
             _, payload = complete_binary_tree(args.height, cap=args.cap_n)
@@ -149,11 +172,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
     drawing = drawing_from_json(_read(args.infile))
     pd, cert = decompose_drawing(drawing, st_cap=args.cap_st, edge_cap=args.cap_edges)
-    with _output(args.out) as fh:
+    with _outputs(args.out, args.cert) as (fh, cert_fh):
         decomposition_to_json(pd, fh)
         fh.write("\n")
-    if args.cert:
-        _write(args.cert, certificate_to_json(cert))
+        if cert_fh is not None:
+            cert_fh.write(certificate_to_json(cert) + "\n")
     return 0
 
 
@@ -164,9 +187,10 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     pd = decomposition_from_json(_read(args.infile))
     graph = graph_from_json(_read(args.graph))
     drawing, cert = layout_decomposition(graph, pd, edge_cap=args.cap_edges)
-    _write(args.out, drawing_to_json(drawing))
-    if args.cert:
-        _write(args.cert, layout_certificate_to_json(cert))
+    with _outputs(args.out, args.cert) as (fh, cert_fh):
+        fh.write(drawing_to_json(drawing) + "\n")
+        if cert_fh is not None:
+            cert_fh.write(layout_certificate_to_json(cert) + "\n")
     return 0
 
 

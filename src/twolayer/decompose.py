@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import (
     ChainCover,
@@ -29,7 +28,7 @@ from .analysis import (
     st_profile,
 )
 from .errors import CertificateError, GraphError
-from .graphs import Edge, TwoLayerDrawing
+from .graphs import Edge, TwoLayerDrawing, _Frozen
 from .pathdecomp import PathDecomposition, validate_decomposition
 
 BagTag = tuple  # ("Vi", i) or ("Vij", i, j), all indices 1-based except gap 0
@@ -56,23 +55,42 @@ def minimal_unachievable(
     return tuple((s + 1, t + 1) for s, t in zip(s_side, t_side))
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
+class DecompositionCertificate(_Frozen):
     """Everything needed to rebuild and bound the emitted decomposition:
     the chain cover (with orientation), the matching, the gap classes, the
     per-bag provenance, and the measured (s,t) frontier with the width bound
     claimed at its minimal unachievable points."""
 
-    k: int
-    matching: tuple[Edge, ...]
-    gaps: tuple[tuple[str, ...], ...]
-    cover: ChainCover
-    per_bag: tuple[BagTag, ...]
-    frontier: tuple[tuple[int, int], ...]
-    unachievable: tuple[tuple[int, int], ...]
-    frontier_exact: bool
-    width_bound: int
-    st_cap: int
+    _fields = (
+        "k", "matching", "gaps", "cover", "per_bag", "frontier", "unachievable",
+        "frontier_exact", "width_bound", "st_cap",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        matching: tuple[Edge, ...],
+        gaps: tuple[tuple[str, ...], ...],
+        cover: ChainCover,
+        per_bag: tuple[BagTag, ...],
+        frontier: tuple[tuple[int, int], ...],
+        unachievable: tuple[tuple[int, int], ...],
+        frontier_exact: bool,
+        width_bound: int,
+        st_cap: int,
+    ) -> None:
+        vars(self).update(
+            k=k,
+            matching=matching,
+            gaps=gaps,
+            cover=cover,
+            per_bag=per_bag,
+            frontier=frontier,
+            unachievable=unachievable,
+            frontier_exact=frontier_exact,
+            width_bound=width_bound,
+            st_cap=st_cap,
+        )
 
 
 def _gap_classes(
@@ -215,16 +233,14 @@ def certificate_bags(
 # audit of the per-bag counting bounds
 # ===================================================================
 
-@dataclass(frozen=True)
-class AuditViolation:
+class AuditViolation(NamedTuple):
     check: str  # "Yij" | "Pi" | "Vi" | "Vij"
     location: tuple
     observed: int
     bound: int
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     k: int
     matching_size: int
     points: tuple[tuple[int, int], ...]

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .analysis import (
     check_counting_bound,
@@ -31,6 +31,7 @@ from .errors import GraphError
 from .graphs import (
     BipartiteGraph,
     TwoLayerDrawing,
+    _Frozen,
     drawing_from_json,
     drawing_to_json,
     random_drawing,
@@ -51,41 +52,50 @@ EXACT_VERTEX_CAP = 14
 _TRIAL_STRIDE = 1_000_003  # prime; keeps per-trial seeds distinct across seeds
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    trials: int
-    seed: int
-    na_max: int = 8  # each trial draws between 0 and na_max A-vertices
-    nb_max: int = 8
-    p_range: tuple[float, float] = (0.0, 1.0)
-    checks: tuple[str, ...] = ALL_CHECKS
-    invert_check: str | None = None  # test hook: negate this check's verdict
+class FuzzConfig(_Frozen):
+    _fields = ("trials", "seed", "na_max", "nb_max", "p_range", "checks", "invert_check")
 
-    def __post_init__(self) -> None:
-        unknown = [c for c in self.checks if c not in ALL_CHECKS]
-        if self.invert_check not in (None, *ALL_CHECKS):
-            unknown.append(self.invert_check)
+    def __init__(
+        self,
+        trials: int,
+        seed: int,
+        na_max: int = 8,  # each trial draws between 0 and na_max A-vertices
+        nb_max: int = 8,
+        p_range: tuple[float, float] = (0.0, 1.0),
+        checks: tuple[str, ...] = ALL_CHECKS,
+        invert_check: str | None = None,  # test hook: negate this check's verdict
+    ) -> None:
+        unknown = [c for c in checks if c not in ALL_CHECKS]
+        if invert_check not in (None, *ALL_CHECKS):
+            unknown.append(invert_check)
         if unknown:
             raise GraphError(f"unknown checks: {', '.join(unknown)}")
-        if self.trials < 0:
+        if trials < 0:
             raise GraphError("trials must be >= 0")
-        for name, high in (("na_max", self.na_max), ("nb_max", self.nb_max)):
+        for name, high in (("na_max", na_max), ("nb_max", nb_max)):
             if high < 0:
                 raise GraphError(f"{name} must be >= 0")
-        if not 0.0 <= self.p_range[0] <= self.p_range[1] <= 1.0:
+        if not 0.0 <= p_range[0] <= p_range[1] <= 1.0:
             raise GraphError("p_range must satisfy 0 <= low <= high <= 1")
+        vars(self).update(
+            trials=trials,
+            seed=seed,
+            na_max=na_max,
+            nb_max=nb_max,
+            p_range=p_range,
+            checks=checks,
+            invert_check=invert_check,
+        )
 
 
-@dataclass(frozen=True)
-class CheckStats:
+class CheckStats(NamedTuple):
     run: int = 0
     passed: int = 0
     failed: int = 0
     skipped: int = 0
 
 
-@dataclass(frozen=True)
-class FailureDump:
+class FailureDump(NamedTuple):
     """Everything needed to replay one failing trial check."""
 
     check: str
@@ -97,12 +107,18 @@ class FailureDump:
     inverted: bool
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    trials: int
-    seed: int
-    stats: dict[str, CheckStats] = field(default_factory=dict)
-    failures: tuple[FailureDump, ...] = ()
+class FuzzReport(_Frozen):
+    _fields = ("trials", "seed", "stats", "failures")
+
+    def __init__(
+        self,
+        trials: int,
+        seed: int,
+        stats: dict[str, CheckStats] | None = None,
+        failures: tuple[FailureDump, ...] = (),
+    ) -> None:
+        stats = {} if stats is None else stats
+        vars(self).update(trials=trials, seed=seed, stats=stats, failures=failures)
 
     @property
     def ok(self) -> bool:
@@ -119,13 +135,14 @@ def _trial_drawing(config: FuzzConfig, trial: int) -> tuple[int, TwoLayerDrawing
     return trial_seed, drawing
 
 
-@dataclass
 class _Trial:
     """A trial's drawing and the results that its checks share, each computed
     on first use: decompose, audit and counting read one decomposition,
     layout and per-edge one exact pathwidth."""
 
-    drawing: TwoLayerDrawing
+    def __init__(self, drawing: TwoLayerDrawing) -> None:
+        self.drawing = drawing
+
     decomposition = cached_property(lambda self: decompose_drawing(self.drawing))
     pathwidth = cached_property(
         lambda self: pathwidth_exact(self.drawing.graph, cap=EXACT_VERTEX_CAP)
@@ -266,14 +283,14 @@ def replay_failure(dump: FailureDump, config: FuzzConfig) -> FailureDump | None:
     if verdict is not False:
         return None
     cert_json = cert and certificate_to_json(cert)
-    return replace(dump, detail=detail, certificate_json=cert_json, inverted=inverted)
+    return dump._replace(detail=detail, certificate_json=cert_json, inverted=inverted)
 
 
 def report_to_json(report: FuzzReport) -> str:
     payload = {
         "trials": report.trials,
         "seed": report.seed,
-        "checks": {c: asdict(s) for c, s in report.stats.items()},
+        "checks": {c: s._asdict() for c, s in report.stats.items()},
         "failures": [
             {
                 "check": d.check,

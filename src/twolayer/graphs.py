@@ -1,26 +1,23 @@
-"""Bipartite graphs with two-layer drawings, plus the generator zoo.
+"""Bipartite graphs with two-layer drawings: the core types, random
+drawings and JSON.
 
 A two-layer drawing places the A side on one horizontal rail and the B side
 on another, each in a total order.  Everything downstream (crossing counts,
 chain covers, decompositions) is computed from the two rank functions alone,
 so this module only has to get the combinatorics of orders right; geometry
-lives in render.py.
+lives in render.py.  The other generators and the connectivity and
+caterpillar helpers live in generators.py, which only the commands and
+callers that use them load; their names here still resolve to it.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, TextIO
 
-from .errors import (
-    CapExceededError,
-    ConnectivityError,
-    GraphError,
-    NotCaterpillarError,
-)
+from .errors import CapExceededError, GraphError
 
 Edge = tuple[str, str]
 
@@ -35,13 +32,68 @@ DEFAULT_ST_EDGE_CAP = 5_000  # analysis: edges in an (s,t) search
 DEFAULT_PROFILE_CAP = 16  # analysis: s and t of the (s,t) profile
 DEFAULT_PATHWIDTH_CAP = 20  # pathdecomp: vertices for exact pathwidth
 
+# Names defined in generators.py, reachable here through __getattr__.
+_GENERATOR_NAMES = frozenset(
+    {
+        "bipartition_from_edges",
+        "caterpillar_layout",
+        "complete_binary_tree",
+        "connected_components",
+        "grid_graph",
+        "is_caterpillar",
+        "is_connected",
+        "star_fan_drawing",
+        "subdivided_star",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name not in _GENERATOR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import generators
+
+    value = getattr(generators, name)
+    globals()[name] = value
+    return value
+
 
 # ===================================================================
 # core types
 # ===================================================================
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class _Frozen:
+    """Base of the package's immutable value types.  A subclass names its
+    fields in ``_fields`` and sets them once, in ``__init__``, through
+    ``vars(self)``; equality, hash and repr go by those fields, as a frozen
+    dataclass's would, and no attribute can be set or deleted afterwards.
+    Instances keep their ``__dict__``, which ``cached_property`` needs."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BipartiteGraph(_Frozen):
     """An undirected bipartite graph with named sides A and B.
 
     Vertex ids are opaque strings, unique across both sides.  Edges are
@@ -49,19 +101,18 @@ class BipartiteGraph:
     orientation and normalizes.  Instances are immutable after construction.
     """
 
-    a: tuple[str, ...]
-    b: tuple[str, ...]
-    edges: tuple[Edge, ...] = field(default=())
+    _fields = ("a", "b", "edges")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        a_set, b_set = set(self.a), set(self.b)
-        if len(a_set) != len(self.a) or len(b_set) != len(self.b) or (a_set & b_set):
+    def __init__(
+        self, a: Iterable[str], b: Iterable[str], edges: Iterable[Edge] = ()
+    ) -> None:
+        a, b = tuple(a), tuple(b)
+        a_set, b_set = set(a), set(b)
+        if len(a_set) != len(a) or len(b_set) != len(b) or (a_set & b_set):
             raise GraphError("vertex ids must be unique across both sides")
         normalized = []
         seen = set()
-        for edge in self.edges:
+        for edge in edges:
             u, v = edge
             if u in a_set and v in b_set:
                 pair = (u, v)
@@ -73,7 +124,7 @@ class BipartiteGraph:
                 raise GraphError(f"duplicate edge {pair!r}")
             seen.add(pair)
             normalized.append(pair)
-        object.__setattr__(self, "edges", tuple(normalized))
+        vars(self).update(a=a, b=b, edges=tuple(normalized))
 
     @cached_property
     def a_set(self) -> frozenset[str]:
@@ -112,8 +163,7 @@ class BipartiteGraph:
         return len(self.neighbors[v])
 
 
-@dataclass(frozen=True)
-class TwoLayerDrawing:
+class TwoLayerDrawing(_Frozen):
     """A bipartite graph with a total order on each side's rail.
 
     Ranks are 1-based.  Two independent edges cross exactly when their rank
@@ -121,17 +171,17 @@ class TwoLayerDrawing:
     cross.
     """
 
-    graph: BipartiteGraph
-    order_a: tuple[str, ...]
-    order_b: tuple[str, ...]
+    _fields = ("graph", "order_a", "order_b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order_a", tuple(self.order_a))
-        object.__setattr__(self, "order_b", tuple(self.order_b))
-        if sorted(self.order_a) != sorted(self.graph.a):
+    def __init__(
+        self, graph: BipartiteGraph, order_a: Iterable[str], order_b: Iterable[str]
+    ) -> None:
+        order_a, order_b = tuple(order_a), tuple(order_b)
+        if sorted(order_a) != sorted(graph.a):
             raise GraphError("order_a is not a permutation of side A")
-        if sorted(self.order_b) != sorted(self.graph.b):
+        if sorted(order_b) != sorted(graph.b):
             raise GraphError("order_b is not a permutation of side B")
+        vars(self).update(graph=graph, order_a=order_a, order_b=order_b)
 
     @cached_property
     def pos_a(self) -> dict[str, int]:
@@ -143,220 +193,8 @@ class TwoLayerDrawing:
 
 
 # ===================================================================
-# connectivity and caterpillar recognition
+# random drawings
 # ===================================================================
-
-def connected_components(graph: BipartiteGraph) -> tuple[tuple[str, ...], ...]:
-    """Vertex sets of the connected components, in first-seen order."""
-    seen: set[str] = set()
-    comps: list[tuple[str, ...]] = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in graph.neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
-def is_connected(graph: BipartiteGraph) -> bool:
-    return len(connected_components(graph)) == 1
-
-
-def is_caterpillar(graph: BipartiteGraph) -> tuple[bool, tuple[str, ...] | None]:
-    """Decide whether a connected graph is a caterpillar.
-
-    Returns (True, spine) where the spine is what remains after deleting all
-    degree-1 vertices, walked in path order from its endpoint with the
-    smaller id.  The remainder being a path already forces the graph to be a
-    tree, because deleting degree-1 vertices cannot destroy a cycle.
-    """
-    if not graph.vertices:
-        raise GraphError("empty graph has no caterpillar structure")
-    if not is_connected(graph):
-        raise ConnectivityError("connectivity required")
-    if len(graph.vertices) == 1:
-        return True, (graph.vertices[0],)  # degree 0: nothing gets deleted
-
-    remainder = [v for v in graph.vertices if graph.degree(v) >= 2]
-    if not remainder:
-        return True, ()  # K2: both endpoints go
-    rem_set = set(remainder)
-    deg = {v: sum(1 for w in graph.neighbors[v] if w in rem_set) for v in remainder}
-    if any(d > 2 for d in deg.values()):
-        return False, None
-    edge_count = sum(deg.values()) // 2
-    if edge_count != len(remainder) - 1:
-        return False, None
-
-    if len(remainder) == 1:
-        return True, (remainder[0],)
-    ends = sorted(v for v in remainder if deg[v] == 1)
-    spine = [ends[0]]
-    prev = None
-    while len(spine) < len(remainder):
-        nxt = [w for w in graph.neighbors[spine[-1]] if w in rem_set and w != prev]
-        if not nxt:
-            return False, None  # remainder disconnected; cannot happen for connected input
-        prev = spine[-1]
-        spine.append(nxt[0])
-    return True, tuple(spine)
-
-
-def caterpillar_layout(graph: BipartiteGraph) -> TwoLayerDrawing:
-    """Produce a crossing-free two-layer drawing of a connected caterpillar.
-
-    Walks the spine left to right, emitting each spine vertex followed by its
-    pendant leaves; each rail is ordered by that single walk.  Any two
-    independent edges then have their endpoints in the same relative order on
-    both rails, so no pair crosses.
-    """
-    _, spine = is_caterpillar(graph)
-    if spine is None:
-        raise NotCaterpillarError("not a caterpillar")
-    if not spine:
-        sequence = sorted(graph.vertices)  # K1 or K2
-    else:
-        spine_set = set(spine)
-        sequence = []
-        for p in spine:
-            sequence.append(p)
-            sequence.extend(sorted(w for w in graph.neighbors[p] if w not in spine_set))
-    order_a = tuple(v for v in sequence if v in graph.a_set)
-    order_b = tuple(v for v in sequence if v in graph.b_set)
-    return TwoLayerDrawing(graph, order_a, order_b)
-
-
-def bipartition_from_edges(
-    edges: Iterable[tuple[str, str]],
-    isolated: Iterable[str] = (),
-) -> BipartiteGraph:
-    """Build a BipartiteGraph from an edge list by 2-colouring.
-
-    Each component's smallest vertex id is put on side A.  Raises GraphError
-    if some component has an odd cycle.
-    """
-    edge_list = [tuple(e) for e in edges]
-    adj: dict[str, list[str]] = {}
-    for u, v in edge_list:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v in isolated:
-        adj.setdefault(v, [])
-    colour: dict[str, int] = {}
-    for root in sorted(adj):
-        if root in colour:
-            continue
-        colour[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in colour:
-                    colour[w] = 1 - colour[v]
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    raise GraphError("graph is not bipartite")
-    a = tuple(sorted(v for v, c in colour.items() if c == 0))
-    b = tuple(sorted(v for v, c in colour.items() if c == 1))
-    return BipartiteGraph(a, b, tuple(edge_list))
-
-
-# ===================================================================
-# generators
-# ===================================================================
-
-def complete_binary_tree(
-    h: int, cap: int = DEFAULT_TREE_HEIGHT_CAP
-) -> tuple[BipartiteGraph, TwoLayerDrawing]:
-    """Complete binary tree of height h with its level-order drawing.
-
-    Vertex ids are root "r" with children "r.0"/"r.1" and so on.  Side A
-    holds the even depths.  Both rails list depths in increasing order and
-    each depth in left-to-right (lexicographic) order.  Edges from
-    even-depth parents form one non-crossing class and edges from odd-depth
-    parents the other, so no three edges pairwise cross.
-    """
-    if h < 0:
-        raise GraphError("height must be >= 0")
-    if h > cap:
-        raise CapExceededError(f"tree height {h} exceeds cap {cap}")
-    levels: list[list[str]] = [["r"]]
-    for _ in range(h):
-        levels.append([p + "." + c for p in levels[-1] for c in "01"])
-    a_ids = [v for d in range(0, h + 1, 2) for v in levels[d]]
-    b_ids = [v for d in range(1, h + 1, 2) for v in levels[d]]
-    edges = [(child[:-2], child) for d in range(1, h + 1) for child in levels[d]]
-    graph = BipartiteGraph(tuple(a_ids), tuple(b_ids), tuple(edges))
-    return graph, TwoLayerDrawing(graph, tuple(a_ids), tuple(b_ids))
-
-
-def grid_graph(
-    h: int, cap: int = DEFAULT_GRID_SIDE_CAP
-) -> tuple[BipartiteGraph, TwoLayerDrawing]:
-    """h-by-h grid with an anti-diagonal two-layer drawing.
-
-    Cell (i, j) gets id "(i,j)" (1-based).  Side A holds cells with i+j
-    even.  Each rail sorts its cells by (i+j, j): anti-diagonals become
-    blocks, walked from the lower-left cell upward.  With that order the
-    edges split by the parity of their endpoint nearer the origin into two
-    non-crossing classes, so no three edges pairwise cross.
-    """
-    if h < 1:
-        raise GraphError("grid side must be >= 1")
-    if h > cap:
-        raise CapExceededError(f"grid side {h} exceeds cap {cap}")
-    cells = [(i, j) for i in range(1, h + 1) for j in range(1, h + 1)]
-    name = lambda c: f"({c[0]},{c[1]})"
-    diag_key = lambda c: (c[0] + c[1], c[1])
-    a_ids = [name(c) for c in sorted(cells, key=diag_key) if (c[0] + c[1]) % 2 == 0]
-    b_ids = [name(c) for c in sorted(cells, key=diag_key) if (c[0] + c[1]) % 2 == 1]
-    edges = []
-    for i, j in cells:
-        if j < h:
-            edges.append((name((i, j)), name((i, j + 1))))
-        if i < h:
-            edges.append((name((i, j)), name((i + 1, j))))
-    graph = BipartiteGraph(tuple(a_ids), tuple(b_ids), tuple(edges))
-    return graph, TwoLayerDrawing(graph, tuple(a_ids), tuple(b_ids))
-
-
-def subdivided_star(n: int, cap: int = DEFAULT_STAR_CAP) -> BipartiteGraph:
-    """Star with n legs, each edge subdivided once.
-
-    Center "c" and leaves "l1".."ln" sit on side A; the subdivision vertices
-    "s1".."sn" sit on side B.  No drawing is fixed here: the point of this
-    family is what happens across all drawings.
-    """
-    if n < 1:
-        raise GraphError("star needs at least one leg")
-    if n > cap:
-        raise CapExceededError(f"star legs {n} exceeds cap {cap}")
-    a = ("c",) + tuple(f"l{i}" for i in range(1, n + 1))
-    b = tuple(f"s{i}" for i in range(1, n + 1))
-    edges = [("c", f"s{i}") for i in range(1, n + 1)]
-    edges += [(f"l{i}", f"s{i}") for i in range(1, n + 1)]
-    return BipartiteGraph(a, b, tuple(edges))
-
-
-def star_fan_drawing(
-    n: int, cap: int = DEFAULT_STAR_CAP
-) -> tuple[BipartiteGraph, TwoLayerDrawing]:
-    """Canonical fan drawing of the subdivided star: center leftmost,
-    legs nested in parallel.  The center edge to s_i crosses the i-1 legs
-    to its left, so the last center edge carries n-1 crossings."""
-    graph = subdivided_star(n, cap)
-    order_a = ("c",) + tuple(f"l{i}" for i in range(1, n + 1))
-    order_b = tuple(f"s{i}" for i in range(1, n + 1))
-    return graph, TwoLayerDrawing(graph, order_a, order_b)
-
 
 def random_drawing(
     n_a: int,

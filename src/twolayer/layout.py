@@ -11,7 +11,7 @@ Both claims are verified on the produced drawing, never assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import (
     CrossingWitness,
@@ -20,7 +20,7 @@ from .analysis import (
     st_crossing_exists,
 )
 from .errors import CertificateError, DecompositionError, GraphError
-from .graphs import BipartiteGraph, TwoLayerDrawing
+from .graphs import BipartiteGraph, TwoLayerDrawing, _Frozen
 from .pathdecomp import (
     PathDecomposition,
     _staged_bags,
@@ -29,8 +29,7 @@ from .pathdecomp import (
 )
 
 
-@dataclass(frozen=True)
-class LayoutCertificate:
+class LayoutCertificate(_Frozen):
     """Verification record for a produced drawing.
 
     `max_crossing_ok` and `st_ok` are set only after actually measuring the
@@ -40,12 +39,25 @@ class LayoutCertificate:
     index in the staged decomposition `normalize_unique_intro` would build,
     read off the input's bag intervals without building it."""
 
-    k: int
-    ell: dict[str, int]
-    max_crossing: int
-    max_crossing_ok: bool
-    st_ok: bool
-    edge_cap: int
+    _fields = ("k", "ell", "max_crossing", "max_crossing_ok", "st_ok", "edge_cap")
+
+    def __init__(
+        self,
+        k: int,
+        ell: dict[str, int],
+        max_crossing: int,
+        max_crossing_ok: bool,
+        st_ok: bool,
+        edge_cap: int,
+    ) -> None:
+        vars(self).update(
+            k=k,
+            ell=ell,
+            max_crossing=max_crossing,
+            max_crossing_ok=max_crossing_ok,
+            st_ok=st_ok,
+            edge_cap=edge_cap,
+        )
 
 
 def _induced_drawing(
@@ -88,8 +100,7 @@ def layout_decomposition(
     return drawing, cert
 
 
-@dataclass(frozen=True)
-class BagContradiction:
+class BagContradiction(NamedTuple):
     """Why a large pairwise-crossing set is incompatible with a narrow
     decomposition: the first-bag intervals of the witness edges pairwise
     overlap, so they share a point p, and the bag there holds one endpoint

@@ -12,32 +12,30 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import eq
-from typing import Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
-from .graphs import DEFAULT_PATHWIDTH_CAP, BipartiteGraph, Edge, _join_or_write
+from .graphs import DEFAULT_PATHWIDTH_CAP, BipartiteGraph, Edge, _Frozen, _join_or_write
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
+class PathDecomposition(_Frozen):
     """An ordered bag sequence.  Bags are kept as sorted vertex-id tuples so
     serialization is canonical; bag indices are 1-based in all reporting."""
 
-    bags: tuple[tuple[str, ...], ...]
+    _fields = ("bags",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, bags: Iterable[Iterable[str]]) -> None:
         # Sorting a sorted bag is linear, and equal ids end up adjacent.
-        bags = []
-        for bag in self.bags:
+        normalized = []
+        for bag in bags:
             ordered = sorted(bag)
             if any(map(eq, ordered, ordered[1:])):
                 ordered = sorted(set(ordered))
-            bags.append(tuple(ordered))
-        object.__setattr__(self, "bags", tuple(bags))
+            normalized.append(tuple(ordered))
+        vars(self).update(bags=tuple(normalized))
 
     @property
     def width(self) -> int:
@@ -50,8 +48,7 @@ class PathDecomposition:
         return frozenset(v for bag in self.bags for v in bag)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed decomposition condition, with enough context to locate it.
 
     kind "cover": `vertex` missing from every bag.

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -269,6 +270,60 @@ def test_capped_decompose_writes_no_output(capsys, tmp_path):
     )
     assert code == 3 and out == "" and err.startswith("error: ")
     assert not pd_path.exists() and not cert_path.exists()
+
+
+def _pipeline_inputs(tmp_path):
+    """argv prefixes of decompose and layout on the complete binary tree of
+    height 2, whose input files are written to tmp_path."""
+    g, d = tl.complete_binary_tree(2)
+    (tmp_path / "d.json").write_text(tl.drawing_to_json(d))
+    (tmp_path / "g.json").write_text(tl.graph_to_json(g))
+    (tmp_path / "in_pd.json").write_text(tl.decomposition_to_json(tl.decompose_drawing(d)[0]))
+    return {
+        "decompose": ["decompose", "--in", str(tmp_path / "d.json")],
+        "layout": [
+            "layout", "--in", str(tmp_path / "in_pd.json"), "--graph", str(tmp_path / "g.json")
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", ["decompose", "layout"])
+def test_unopenable_cert_leaves_no_output(capsys, tmp_path, command):
+    """Every output is opened before any is written, so a --cert that cannot
+    be opened leaves no --out behind, nor anything on stdout."""
+    argv = _pipeline_inputs(tmp_path)[command]
+    out_path, cert_path = tmp_path / "out.json", tmp_path / "missing" / "c.json"
+    code, out, err = run(capsys, *argv, "--out", str(out_path), "--cert", str(cert_path))
+    assert code == 2 and out == "" and "No such file or directory" in err
+    assert not out_path.exists()
+    code, out, err = run(capsys, *argv, "--cert", str(cert_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["decompose", "layout"])
+def test_failed_cert_write_removes_both_outputs(capsys, tmp_path, monkeypatch, command):
+    from twolayer import decompose, layout
+
+    def fail(cert):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(decompose, "certificate_to_json", fail)
+    monkeypatch.setattr(layout, "layout_certificate_to_json", fail)
+    argv = _pipeline_inputs(tmp_path)[command]
+    out_path, cert_path = tmp_path / "out.json", tmp_path / "c.json"
+    code, _, err = run(capsys, *argv, "--out", str(out_path), "--cert", str(cert_path))
+    assert code == 2 and "No space left on device" in err
+    assert not out_path.exists() and not cert_path.exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "layout"])
+def test_cert_naming_the_out_file_is_a_usage_error(capsys, tmp_path, command):
+    argv = _pipeline_inputs(tmp_path)[command]
+    out_path = tmp_path / "out.json"
+    alias = os.path.join(tmp_path, ".", "out.json")
+    code, _, err = run(capsys, *argv, "--out", str(out_path), "--cert", alias)
+    assert code == 2 and "--cert names the --out file" in err
+    assert not out_path.exists()
 
 
 def _fail_while_writing(path):

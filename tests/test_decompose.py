@@ -352,8 +352,9 @@ def test_decompose_module_has_no_assert_statements(module):
     relies on, and every other module of the package must survive
     `python -O`.  No module takes `itertools.combinations` either: every
     crossing question is a sweep over rank pairs, not a loop over edge
-    pairs.  The files are parsed, not imported: importing `__main__` would
-    run the CLI."""
+    pairs.  Nor does any import `dataclasses`, which would load `inspect` and
+    `ast` into every command.  The files are parsed, not imported: importing
+    `__main__` would run the CLI."""
     path = _PACKAGE_DIR / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -368,3 +369,10 @@ def test_decompose_module_has_no_assert_statements(module):
         or (isinstance(node, ast.Attribute) and node.attr == "combinations")
     ]
     assert not combinations
+    dataclass_imports = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert not dataclass_imports

@@ -111,8 +111,8 @@ BASE = ["twolayer", "twolayer.cli", "twolayer.errors", "twolayer.graphs"]
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["gen", "tree", "--height", "2"], []),
-        (["gen", "tree", "--height", "2", "--format", "svg"], ["render"]),
+        (["gen", "tree", "--height", "2"], ["generators"]),
+        (["gen", "tree", "--height", "2", "--format", "svg"], ["generators", "render"]),
         (["analyze", "--in", "d.json"], ["analysis"]),
         (["decompose", "--in", "d.json"], ["analysis", "decompose", "pathdecomp"]),
         (["layout", "--in", "pd.json", "--graph", "g.json"],
@@ -138,3 +138,44 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
     expected = sorted(BASE + [f"twolayer.{m}" for m in extra])
     assert loaded_after(code, tmp_path) == expected
     assert (tmp_path / "out.txt").stat().st_size > 0
+
+
+# Loaded by `dataclasses` (with `copy`); no command needs them.
+HEAVY = ("ast", "dataclasses", "dis", "inspect", "tokenize")
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_commands_load_no_dataclasses_or_inspect(tmp_path, command):
+    _, drawing = tl.complete_binary_tree(2)
+    (tmp_path / "d.json").write_text(tl.drawing_to_json(drawing))
+    argv = [command, "--in", "d.json", "--out", "out.txt"]
+    # Whatever the interpreter's start-up loaded before the command is not
+    # the command's doing.
+    code = (
+        "import sys\nbefore = set(sys.modules)\nfrom twolayer.cli import main\n"
+        f"assert main({json.dumps(argv)}) == 0\n"
+        f"print(sorted((set(sys.modules) - before) & {set(HEAVY)!r}))"
+    )
+    proc = fresh_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_generator_names_keep_their_old_homes():
+    """The generators moved from graphs to generators; `twolayer.graphs.<name>`
+    and `twolayer.<name>` still give the very objects defined there."""
+    from twolayer import generators, graphs
+
+    moved = [
+        name for name, value in vars(generators).items()
+        if callable(value) and getattr(value, "__module__", None) == generators.__name__
+    ]
+    assert sorted(moved) == sorted(graphs._GENERATOR_NAMES)
+    for name in moved:
+        assert getattr(graphs, name) is vars(generators)[name]
+        assert getattr(tl, name) is vars(generators)[name]
+        namespace = {}
+        exec(f"from twolayer.graphs import {name}", namespace)
+        assert namespace[name] is vars(generators)[name]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        graphs.no_such_name
