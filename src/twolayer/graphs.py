@@ -65,9 +65,10 @@ def __getattr__(name: str):
 class _Frozen:
     """Base of the package's immutable value types.  A subclass names its
     fields in ``_fields`` and sets them once, in ``__init__``, through
-    ``vars(self)``; equality, hash and repr go by those fields, as a frozen
-    dataclass's would, and no attribute can be set or deleted afterwards.
-    Instances keep their ``__dict__``, which ``cached_property`` needs."""
+    ``vars(self)``.  Two instances are equal when they have the same class
+    and equal fields; hash and repr go by the fields too, and no attribute
+    can be set or deleted afterwards.  Instances keep their ``__dict__``,
+    which ``cached_property`` needs."""
 
     _fields: tuple[str, ...] = ()
 
