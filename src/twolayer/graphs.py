@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import random
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, TextIO
 
 from .errors import CapExceededError, GraphError
@@ -306,21 +307,17 @@ def _load_object(text: str) -> dict:
 
 
 def _str_list(value: object, key: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
         raise GraphError(f"'{key}' must be a list of strings")
     return value
 
 
 def _edge_list(value: object) -> list[Edge]:
-    if not isinstance(value, list):
+    if (
+        not isinstance(value, list)
+        or not all(map(isinstance, value, repeat(list)))
+        or not set(map(len, value)) <= {2}
+        or not all(map(isinstance, chain.from_iterable(value), repeat(str)))
+    ):
         raise GraphError("'edges' must be a list of [idA, idB] pairs")
-    out = []
-    for item in value:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, str) for x in item)
-        ):
-            raise GraphError("'edges' must be a list of [idA, idB] pairs")
-        out.append((item[0], item[1]))
-    return out
+    return list(map(tuple, value))

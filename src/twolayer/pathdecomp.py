@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii
 from operator import eq
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
 from .graphs import DEFAULT_PATHWIDTH_CAP, BipartiteGraph, Edge, _Frozen, _join_or_write
@@ -45,7 +46,7 @@ class PathDecomposition(_Frozen):
 
     @cached_property
     def vertices(self) -> frozenset[str]:
-        return frozenset(v for bag in self.bags for v in bag)
+        return frozenset(chain.from_iterable(self.bags))
 
 
 class Violation(NamedTuple):
@@ -359,11 +360,34 @@ def _staged_bags(pd: PathDecomposition, first: dict[str, int]) -> PathDecomposit
 # ===================================================================
 
 def decomposition_to_json(pd: PathDecomposition, out: TextIO | None = None) -> str | None:
-    """``{"bags": [...]}`` indented by 2.  Returns the text, or writes it to
-    ``out`` as it is encoded and returns None.  The encoder writes the bag
-    tuples as lists, so no copy of them is made."""
-    chunks = json.JSONEncoder(indent=2).iterencode({"bags": pd.bags})
-    return _join_or_write(chunks, out)
+    """``{"bags": [...]}`` indented by 2, byte for byte as ``json.dumps(...,
+    indent=2)`` writes it.  Returns the text, or writes it to ``out`` one bag
+    at a time and returns None.
+
+    Every id must be a str: another id raises TypeError before anything is
+    written, where ``json.dumps`` would have written it as a number or a
+    literal."""
+    return _join_or_write(_decomposition_json(pd), out)
+
+
+def _decomposition_json(pd: PathDecomposition) -> Iterator[str]:
+    """The opening, one chunk per bag, the closing.  Each distinct id is
+    quoted once, by the function ``json.dumps`` itself uses under
+    ``ensure_ascii``, and a bag's lines come from one join."""
+    if not pd.bags:
+        yield '{\n  "bags": []\n}'
+        return
+    quoted = {v: encode_basestring_ascii(v) for v in pd.vertices}
+    yield '{\n  "bags": [\n'
+    sep = ""
+    for bag in pd.bags:
+        if bag:
+            items = ",\n      ".join(map(quoted.__getitem__, bag))
+            yield f"{sep}    [\n      {items}\n    ]"
+        else:
+            yield f"{sep}    []"
+        sep = ",\n"
+    yield "\n  ]\n}"
 
 
 def decomposition_from_json(text: str) -> PathDecomposition:
@@ -379,7 +403,7 @@ def _decomposition_from_object(data: object) -> PathDecomposition:
         raise DecompositionError("decomposition JSON must have a 'bags' key")
     bags = data["bags"]
     if not isinstance(bags, list) or not all(
-        isinstance(bag, list) and all(isinstance(v, str) for v in bag)
+        isinstance(bag, list) and all(map(isinstance, bag, repeat(str)))
         for bag in bags
     ):
         raise DecompositionError("'bags' must be a list of lists of ids")

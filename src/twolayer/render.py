@@ -12,6 +12,8 @@ that the CLI never holds a whole SVG.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import add
 from typing import TYPE_CHECKING, Iterator, TextIO
 
 from .graphs import TwoLayerDrawing, _join_or_write
@@ -82,28 +84,30 @@ def render_decomposition(pd: PathDecomposition, out: TextIO | None = None) -> st
 
 
 def _decomposition_svg(pd: PathDecomposition) -> Iterator[str]:
-    """The header, one chunk per bag, the closing tag."""
+    """The header, one chunk per bag, the closing tag.  A bag's chunk is its
+    box, then a text line for its 1-based index and one per member.  A line
+    is the bag's ``<text x=…`` opening, its row's y and style, and its
+    content, so each row's text and each id's escape are made once per
+    document and a bag's lines come from one join."""
     tallest = max((len(bag) for bag in pd.bags), default=0)
     box_h = LINE_HEIGHT * max(tallest, 1) + 24
     total_w = 2 * MARGIN + max(
         len(pd.bags) * (BOX_WIDTH + BOX_GAP) - BOX_GAP, BOX_WIDTH
     )
+    escaped = {v: _escape(v) for v in pd.vertices}
+    ys = [MARGIN - 6] + [MARGIN + 16 + j * LINE_HEIGHT for j in range(tallest)]
+    rows = [f' y="{y}" font-size="10" text-anchor="middle">' for y in ys]
     yield _svg_header(min_x=0, min_y=0, width=total_w, height=box_h + 2 * MARGIN)
     for i, bag in enumerate(pd.bags):
         x = MARGIN + i * (BOX_WIDTH + BOX_GAP)
-        elements = [
+        text = f'<text x="{x + BOX_WIDTH // 2}"'
+        lines = f"</text>\n{text}".join(
+            map(add, rows, chain((str(i + 1),), map(escaped.__getitem__, bag)))
+        )
+        yield (
             f'<rect x="{x}" y="{MARGIN}" width="{BOX_WIDTH}" height="{box_h}" '
-            'fill="none" stroke="black"/>\n',
-            f'<text x="{x + BOX_WIDTH // 2}" y="{MARGIN - 6}" font-size="10" '
-            f'text-anchor="middle">{i + 1}</text>\n',
-        ]
-        for j, v in enumerate(bag):
-            ty = MARGIN + 16 + j * LINE_HEIGHT
-            elements.append(
-                f'<text x="{x + BOX_WIDTH // 2}" y="{ty}" font-size="10" '
-                f'text-anchor="middle">{_escape(v)}</text>\n'
-            )
-        yield "".join(elements)
+            f'fill="none" stroke="black"/>\n{text}{lines}</text>\n'
+        )
     yield "</svg>\n"
 
 

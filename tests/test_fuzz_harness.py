@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
 
 import twolayer as tl
 from twolayer import (
@@ -15,6 +16,8 @@ from twolayer import (
     decompose,
     fuzz,
 )
+
+from conftest import drawings
 
 
 def test_config_validation():
@@ -194,21 +197,32 @@ def test_each_trial_decomposes_and_solves_pathwidth_once(monkeypatch):
 
 
 def test_counting_trial_finds_the_max_crossing_set_once(monkeypatch):
-    """The counting check takes k from the trial's chain cover, so the one
-    max_crossing_set call is check_counting_bound's test of that k."""
+    """The counting check takes k from the trial's chain cover and ell from
+    the rail table, so the one max_crossing_set call and the one
+    maximum_noncrossing_matching call are check_counting_bound's tests of
+    them."""
     from twolayer import analysis
 
-    calls = []
-    real = analysis.max_crossing_set
-    counted = lambda d: calls.append(1) or real(d)
-    monkeypatch.setattr(analysis, "max_crossing_set", counted)
-    monkeypatch.setattr(fuzz, "max_crossing_set", counted, raising=False)
+    calls = {"max_crossing_set": 0, "maximum_noncrossing_matching": 0}
+    for name in calls:
+        def counted(d, _name=name, _real=getattr(analysis, name)):
+            calls[_name] += 1
+            return _real(d)
+
+        monkeypatch.setattr(analysis, name, counted)
+        monkeypatch.setattr(fuzz, name, counted, raising=False)
     g = BipartiteGraph(("a1", "a2", "a3"), ("b1", "b2"),
                        (("a1", "b2"), ("a2", "b1"), ("a3", "b1"), ("a3", "b2")))
     drawing = TwoLayerDrawing(g, g.a, g.b)
     verdict, detail, _ = fuzz._run_check("counting", fuzz._Trial(drawing))
     assert verdict, detail
-    assert len(calls) == 1
+    assert calls == {"max_crossing_set": 1, "maximum_noncrossing_matching": 1}
+
+
+@given(drawings(max_side=6))
+@settings(max_examples=200, deadline=None)
+def test_noncrossing_table_agrees_with_maximum_matching(d):
+    assert fuzz._noncrossing_matching_size(d) == len(tl.maximum_noncrossing_matching(d))
 
 
 def test_crashing_check_becomes_replayable_failure(monkeypatch):

@@ -1,9 +1,12 @@
 """SVG output for drawings and decompositions, and the streamed writers."""
 
 import functools
+import io
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twolayer as tl
 from twolayer import BipartiteGraph, PathDecomposition, TwoLayerDrawing
@@ -133,3 +136,63 @@ def test_streamed_writer_holds_a_small_part_of_its_output(tmp_path, write):
     size = path.stat().st_size
     assert size > 500_000
     assert peak < size / 4, (peak, size)
+
+
+class _CountingStream(io.StringIO):
+    """A text stream that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, s: str) -> int:
+        self.writes += 1
+        return super().write(s)
+
+
+@pytest.mark.parametrize("write", [tl.render_decomposition, tl.decomposition_to_json])
+def test_streamed_writer_writes_once_per_bag(write):
+    """The opening, one chunk per bag, the closing: 312 writes for the 310
+    bags, where json.JSONEncoder(indent=2).iterencode makes 68,890 chunks."""
+    pd = wide_decomposition()
+    fh = _CountingStream()
+    assert write(pd, fh) is None
+    assert fh.writes <= len(pd.bags) + 2
+    assert fh.getvalue() == write(pd)
+
+
+# Markup, control, non-ASCII and astral characters, and lone surrogates.
+IDS = st.text(
+    st.one_of(
+        st.sampled_from(MARKUP),
+        st.characters(max_codepoint=0x1F),
+        st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+        st.characters(min_codepoint=0x10000),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+        st.characters(),
+    ),
+    max_size=4,
+)
+
+
+@given(st.lists(st.lists(IDS, max_size=5), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_decomposition_writers_match_oracles_on_any_ids(bags):
+    pd = PathDecomposition(bags)
+    for write, oracle in [
+        (tl.decomposition_to_json, dumps_decomposition_to_json),
+        (tl.render_decomposition, join_render_decomposition),
+    ]:
+        expected = oracle(pd)
+        assert write(pd) == expected
+        fh = io.StringIO()
+        assert write(pd, fh) is None
+        assert fh.getvalue() == expected
+
+
+def test_decomposition_json_rejects_a_non_str_id_before_writing():
+    """Ids are str; one that is not raises TypeError, and nothing is
+    written, where json.dumps would have written it as a number."""
+    pd = PathDecomposition((("u",), (1,)))
+    fh = io.StringIO()
+    with pytest.raises(TypeError):
+        tl.decomposition_to_json(pd, fh)
+    assert fh.getvalue() == ""
