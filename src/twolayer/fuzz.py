@@ -171,14 +171,20 @@ def _run_check(
         _, order = trial.pathwidth
         pd = order_to_decomposition(graph, order)
         _, cert = layout_decomposition(graph, pd)
-        # the placement must be each vertex's first bag once staged
+        # The placement must be each vertex's first bag once staged.  The
+        # order's bags introduce order[i-1] at bag i, which gives the same
+        # map without the decomposition's interval pass.
+        in_order = cert.ell == {v: i for i, v in enumerate(order, start=1)}
         staged = intro_intervals(normalize_unique_intro(pd))
-        ell_ok = cert.ell == {v: lo for v, (lo, _) in staged.items()}
+        in_stages = cert.ell == {v: lo for v, (lo, _) in staged.items()}
         detail = (
             f"k={cert.k} max_crossing={cert.max_crossing} "
             f"st_ok={cert.st_ok}"
-        ) + ("" if ell_ok else " ell is not the staged first bags")
-        return cert.max_crossing_ok and cert.st_ok and ell_ok, detail, None
+            + ("" if in_order else " ell is not the vertex order's positions")
+            + ("" if in_stages else " ell is not the staged first bags")
+        )
+        ok = cert.max_crossing_ok and cert.st_ok and in_order and in_stages
+        return ok, detail, None
 
     if check == "counting":
         sub = drop_isolated_a(drawing)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -48,6 +48,20 @@ class PathDecomposition(_Frozen):
     def vertices(self) -> frozenset[str]:
         return frozenset(chain.from_iterable(self.bags))
 
+    @cached_property
+    def _intervals(self) -> tuple[dict[str, tuple[int, int]], dict[str, list[int]]]:
+        """Each vertex's first and last 1-based bag, and the increasing bag
+        indices of the vertices whose bags are not contiguous.  Both maps are
+        keyed in order of first appearance (bag by bag, ids sorted within a
+        bag); only the second keeps index lists."""
+        where: defaultdict[str, list[int]] = defaultdict(list)
+        for i, bag in enumerate(self.bags, start=1):
+            for v in bag:
+                where[v].append(i)
+        span = {v: (idx[0], idx[-1]) for v, idx in where.items()}
+        broken = {v: idx for v, idx in where.items() if idx[-1] - idx[0] >= len(idx)}
+        return span, broken
+
 
 class Violation(NamedTuple):
     """One failed decomposition condition, with enough context to locate it.
@@ -74,16 +88,6 @@ class Violation(NamedTuple):
         )
 
 
-def _bag_indices(pd: PathDecomposition) -> dict[str, list[int]]:
-    """Increasing 1-based indices of the bags holding each vertex, keyed in
-    order of first appearance (bag by bag, ids sorted within a bag)."""
-    where: defaultdict[str, list[int]] = defaultdict(list)
-    for i, bag in enumerate(pd.bags, start=1):
-        for v in bag:
-            where[v].append(i)
-    return dict(where)
-
-
 def validate_decomposition(
     graph: BipartiteGraph, pd: PathDecomposition
 ) -> tuple[Violation, ...]:
@@ -92,49 +96,49 @@ def validate_decomposition(
     A bag mentioning a vertex the graph does not have is a structural error
     (raised), not a violation.
 
-    One pass over the bags records where each vertex occurs.  A vertex whose
-    bags are contiguous occupies an interval [lo, hi] of bag indices, and an
-    edge between two such vertices lies in some bag exactly when their
-    intervals overlap, max(lo) <= min(hi).  Only an edge with a
-    non-contiguous or uncovered endpoint compares index sets.  The cost is
-    O(sum of bag sizes + m) for a valid decomposition.
+    The decomposition's interval pass gives each vertex the interval
+    [lo, hi] of bag indices it spans.  An edge lies in some bag only if its
+    endpoints' intervals overlap, max(lo) <= min(hi), and exactly then when
+    both endpoints' bags are contiguous; only an edge with a non-contiguous
+    endpoint compares index sets.  The cost is O(sum of bag sizes + m) for a
+    valid decomposition.
     """
-    where = _bag_indices(pd)
+    span, broken = pd._intervals
     vset = set(graph.vertices)
     # Keys come in order of first appearance, so the foreign id reported is
     # the first one a bag-by-bag scan meets.
-    for v, idx in where.items():
+    for v, (lo, _) in span.items():
         if v not in vset:
-            raise DecompositionError(
-                f"bag {idx[0]} contains foreign vertex {v!r}"
-            )
+            raise DecompositionError(f"bag {lo} contains foreign vertex {v!r}")
     out: list[Violation] = []
-    span: dict[str, tuple[int, int]] = {}
     for v in graph.vertices:
-        idx = where.get(v)
-        if not idx:
+        if v not in span:
             out.append(Violation("cover", vertex=v))
-        elif idx[-1] - idx[0] + 1 == len(idx):
-            span[v] = (idx[0], idx[-1])
-        else:
+        elif v in broken:
+            idx = broken[v]
             gap = next(i + 1 for i, j in zip(idx, idx[1:]) if j != i + 1)
             out.append(
                 Violation("contiguity", vertex=v, indices=(idx[0], gap, idx[-1]))
             )
+
+    def held(v: str) -> Sequence[int]:
+        lo, hi = span[v]
+        return broken.get(v) or range(lo, hi + 1)
+
     for u, v in graph.edges:
         su, sv = span.get(u), span.get(v)
-        if su and sv:
-            covered = max(su[0], sv[0]) <= min(su[1], sv[1])
-        else:
-            covered = not set(where.get(u, ())).isdisjoint(where.get(v, ()))
+        covered = su and sv and max(su[0], sv[0]) <= min(su[1], sv[1])
+        if covered and (u in broken or v in broken):
+            covered = not set(held(u)).isdisjoint(held(v))
         if not covered:
             out.append(Violation("edge", edge=(u, v)))
     return tuple(out)
 
 
 def intro_intervals(pd: PathDecomposition) -> dict[str, tuple[int, int]]:
-    """First and last 1-based bag index of each vertex (contiguity assumed)."""
-    return {v: (idx[0], idx[-1]) for v, idx in _bag_indices(pd).items()}
+    """First and last 1-based bag of each vertex, in order of first appearance
+    (the hull, for a vertex whose bags are not contiguous), in a new dict."""
+    return dict(pd._intervals[0])
 
 
 # ===================================================================
@@ -291,20 +295,21 @@ def _staged_first_bags(pd: PathDecomposition) -> dict[str, int]:
     bag, as `normalize_unique_intro` stages them, in order of first appearance.
 
     A bag introducing m >= 2 vertices gives them consecutive stages in id
-    order, and a bag introducing none keeps one stage.  `_bag_indices` lists
-    each bag's new vertices together in id order, so a vertex's stage is one
-    past the previous vertex's, plus one for each bag in between.  Raises
-    DecompositionError naming the first vertex, in order of first appearance,
-    whose bags are not contiguous.
+    order, and a bag introducing none keeps one stage.  The interval pass
+    lists each bag's new vertices together in id order, so a vertex's stage
+    is one past the previous vertex's, plus one for each bag in between.
+    Raises DecompositionError naming the first vertex, in order of first
+    appearance, whose bags are not contiguous.
     """
+    span, broken = pd._intervals
+    if broken:
+        raise DecompositionError(
+            f"vertex {next(iter(broken))!r} occupies non-contiguous bags; "
+            "cannot normalize"
+        )
     first: dict[str, int] = {}
     stage = prev = 0
-    for v, idx in _bag_indices(pd).items():
-        lo = idx[0]
-        if idx[-1] - lo + 1 != len(idx):
-            raise DecompositionError(
-                f"vertex {v!r} occupies non-contiguous bags; cannot normalize"
-            )
+    for v, (lo, _) in span.items():
         stage += lo - prev or 1
         prev = lo
         first[v] = stage
@@ -328,31 +333,23 @@ def _staged_bags(pd: PathDecomposition, first: dict[str, int]) -> PathDecomposit
 
     A bag introducing two vertices moves every later first bag up a stage,
     so pd needs no staging exactly when the last vertex to appear is staged
-    at the bag that introduces it.  Otherwise a bag's new vertices hold the
-    stages after every earlier bag's, so the bag's top stage tells how many
-    there are.  Each stage keeps the bag's own order: a mask over the bag
-    gains one new vertex per stage."""
-    bags = pd.bags
+    at the bag that introduces it.  Otherwise each bag's last stage is that
+    of its last new vertex, or one past the previous bag's when it has none,
+    and each vertex holds the stages from its own to the last of the last
+    bag holding it."""
+    span = pd._intervals[0]
     last = next(reversed(first), None)
-    if last is None:
+    if last is None or first[last] == span[last][0]:
         return pd
-    # last's bags are contiguous: bag f introduces it iff f holds it, f-1 not
-    f = first[last]
-    if f <= len(bags) and last in bags[f - 1] and (f == 1 or last not in bags[f - 2]):
-        return pd
-    out: list[tuple[str, ...]] = []
-    for bag in bags:
-        done = len(out)
-        stages = list(map(first.__getitem__, bag))
-        top = max(stages, default=done)
-        if top <= done + 1:
-            out.append(bag)
-            continue
-        keep = bytearray(map(done.__ge__, stages))
-        for i in sorted(range(len(bag)), key=stages.__getitem__)[done - top:]:
-            keep[i] = 1
-            out.append(tuple(compress(bag, keep)))
-    return PathDecomposition(tuple(out))
+    top = [0] * (len(pd.bags) + 1)
+    for v, stage in first.items():
+        top[span[v][0]] = stage
+    top = list(accumulate(top, lambda prev, stage: stage or prev + 1))
+    out: list[list[str]] = [[] for _ in range(top[-1])]
+    for v, stage in first.items():
+        for bag in out[stage - 1 : top[span[v][1]]]:
+            bag.append(v)
+    return PathDecomposition(out)
 
 
 # ===================================================================

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import cached_property
 
 from hypothesis import strategies as st
 
@@ -15,6 +16,24 @@ def crossing_pairs(drawing: tl.TwoLayerDrawing) -> list[tuple[tl.Edge, tl.Edge]]
         for e, f in itertools.combinations(drawing.graph.edges, 2)
         if tl.edges_cross(drawing, e, f)
     ]
+
+
+def record_interval_passes(monkeypatch, alter=None) -> list[tl.PathDecomposition]:
+    """Patch the decomposition's cached interval pass so that each run of it
+    appends its decomposition to the returned list.  `alter(span, broken)`,
+    when given, rewrites the pass's two maps."""
+    real = tl.PathDecomposition.__dict__["_intervals"].func
+    passes: list[tl.PathDecomposition] = []
+
+    def recorded(pd):
+        passes.append(pd)
+        maps = real(pd)
+        return alter(*maps) if alter else maps
+
+    prop = cached_property(recorded)
+    prop.__set_name__(tl.PathDecomposition, "_intervals")
+    monkeypatch.setattr(tl.PathDecomposition, "_intervals", prop)
+    return passes
 
 
 def random_corpus(

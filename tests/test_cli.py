@@ -12,6 +12,8 @@ import pytest
 import twolayer as tl
 from twolayer.cli import _output, _write, main
 
+from conftest import record_interval_passes
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -123,6 +125,20 @@ def test_decompose_then_check(capsys, tmp_path, tree_drawing_file):
     assert code == 0
     verdict = json.loads(out)
     assert verdict == {"ok": True, "width": 6, "violations": []}
+
+
+def test_check_pd_makes_one_interval_pass(capsys, tmp_path, monkeypatch):
+    g, d = tl.grid_graph(3)
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(tl.graph_to_json(g))
+    pd_path = tmp_path / "pd.json"
+    pd_path.write_text(tl.decomposition_to_json(tl.decompose_drawing(d)[0]))
+    passes = record_interval_passes(monkeypatch)
+    code, out, _ = run(
+        capsys, "check-pd", "--in", str(pd_path), "--graph", str(graph_path)
+    )
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert len(passes) == 1
 
 
 def test_check_pd_reports_violations(capsys, tmp_path):

@@ -17,7 +17,7 @@ from twolayer import (
     fuzz,
 )
 
-from conftest import drawings
+from conftest import drawings, record_interval_passes
 
 
 def test_config_validation():
@@ -106,6 +106,26 @@ def test_layout_check_fails_on_a_wrong_placement(monkeypatch):
     stats = rep.stats["layout"]
     assert stats.run > 0 and stats.failed == stats.run
     assert all(d.detail.endswith("ell is not the staged first bags") for d in rep.failures)
+
+
+def test_layout_check_places_by_the_vertex_order(monkeypatch):
+    """The layout check also compares the placement map with the vertex
+    order's positions, which do not come from the decomposition's interval
+    pass.  With every interval moved one bag later, validation still passes
+    and the staged comparison agrees with the moved placement, so only the
+    order comparison fails."""
+
+    def moved(span, broken):
+        return {v: (lo + 1, hi + 1) for v, (lo, hi) in span.items()}, broken
+
+    record_interval_passes(monkeypatch, alter=moved)
+    rep = tl.run_fuzz(FuzzConfig(trials=20, seed=7, checks=("layout",)))
+    stats = rep.stats["layout"]
+    assert stats.run > 0 and stats.failed == stats.run
+    assert all(
+        d.detail.endswith("st_ok=True ell is not the vertex order's positions")
+        for d in rep.failures
+    )
 
 
 def test_fuzz_is_deterministic():

@@ -2,6 +2,8 @@
 loads, and that every module imports on its own."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ import pytest
 import twolayer as tl
 
 PACKAGE_DIR = Path(tl.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 # `twolayer.__all__` before its names became lazy.  It also listed the
 # submodules, which `import *` no longer binds.
@@ -77,6 +80,26 @@ def test_public_api_is_unchanged(monkeypatch):
     namespace = {}
     exec("from twolayer import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == tl.__all__
+
+
+def test_benchmark_spans_name_public_functions_of_their_module():
+    """The benchmark names a function's span after the module that defines
+    it, so each `<module>.<function>.self_s` or `.calls` metric declared in
+    BENCHMARK.json needs `twolayer.<module>.<function>` to be a public
+    function defined in that module.  Deleting such a function, or moving it
+    to another module, fails here."""
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
+    spans = [
+        m["name"].rsplit(".", 1)[0]
+        for m in declared
+        if m["name"].endswith((".self_s", ".calls"))
+    ]
+    assert spans
+    for span in spans:
+        module, function = span.split(".")
+        obj = getattr(importlib.import_module(f"twolayer.{module}"), function, None)
+        assert inspect.isfunction(obj) and not function.startswith("_"), span
+        assert obj.__module__ == f"twolayer.{module}", span
 
 
 def test_unknown_top_level_name_raises_attribute_error():

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 import twolayer as tl
 from twolayer import BipartiteGraph, DecompositionError, GraphError, PathDecomposition
 
-from conftest import crossing_pairs, decompositions, random_corpus
+from conftest import (
+    crossing_pairs,
+    decompositions,
+    random_corpus,
+    record_interval_passes,
+)
 from oracles import row_scan_st_splits
 
 
@@ -61,8 +66,8 @@ def test_layout_rejects_invalid_decomposition():
 
 def test_layout_checks_contiguity_once(monkeypatch):
     """Layout reads each vertex's staged first bag off the input's bag
-    intervals: it scans only its input, once to validate and once to stage,
-    and neither builds nor rescans a staged decomposition."""
+    intervals: one interval pass over its input serves validation and
+    staging, and layout neither builds nor scans a staged decomposition."""
     from twolayer import layout, pathdecomp
 
     g, _ = tl.grid_graph(3)
@@ -70,13 +75,11 @@ def test_layout_checks_contiguity_once(monkeypatch):
     merged = PathDecomposition(
         (tuple(sorted(set(pd.bags[0]) | set(pd.bags[1]))),) + pd.bags[2:]
     )
-    normalized = tl.normalize_unique_intro(merged)
+    # staged from an equal copy, so merged's own pass has not run yet
+    normalized = tl.normalize_unique_intro(PathDecomposition(merged.bags))
     assert normalized != merged  # its first bag introduces several vertices
-    scans = []
-    bag_indices = pathdecomp._bag_indices
-    monkeypatch.setattr(
-        pathdecomp, "_bag_indices", lambda p: scans.append(p) or bag_indices(p)
-    )
+    staged_first = {v: lo for v, (lo, _) in tl.intro_intervals(normalized).items()}
+    passes = record_interval_passes(monkeypatch)
 
     def staged_decomposition(*args):
         raise AssertionError("layout went through a staged decomposition")
@@ -94,9 +97,9 @@ def test_layout_checks_contiguity_once(monkeypatch):
         PathDecomposition, "__init__", lambda p, bags: built.append(p) or init(p, bags)
     )
     _, cert = tl.layout_decomposition(g, merged)
-    assert len(scans) == 2 and all(p is merged for p in scans)
+    assert len(passes) == 1 and passes[0] is merged
     assert built == []
-    assert cert.ell == {v: idx[0] for v, idx in bag_indices(normalized).items()}
+    assert cert.ell == staged_first
 
 
 @given(decompositions())
@@ -249,18 +252,13 @@ def test_explain_rejects_invalid_decomposition():
 
 def test_explain_stages_from_its_placement_map(monkeypatch):
     """The staged decomposition comes from the placement map the induced
-    drawing used: the input is scanned once to validate and once to stage."""
-    from twolayer import pathdecomp
-
+    drawing used: one interval pass over the input serves validation and
+    staging."""
     g, pd, witness = _crossing_pair_instance()
     merged = PathDecomposition(pd.bags[1:])  # bag 1 introduces a1 and b1
-    scans = []
-    bag_indices = pathdecomp._bag_indices
-    monkeypatch.setattr(
-        pathdecomp, "_bag_indices", lambda p: scans.append(p) or bag_indices(p)
-    )
+    passes = record_interval_passes(monkeypatch)
     con = tl.explain_oversized_bag(g, merged, witness)
-    assert len(scans) == 2 and all(p is merged for p in scans)
+    assert len(passes) == 1 and passes[0] is merged
     assert con.normalized == tl.normalize_unique_intro(merged)
     assert con.normalized.bags == pd.bags
 

@@ -172,8 +172,30 @@ def test_validate_foreign_vertex_matches_naive_oracle():
 
 
 def test_intro_intervals():
+    """Each vertex's first and last bag, in order of first appearance; for a
+    vertex whose bags are not contiguous, the hull (first, last)."""
     pd = PathDecomposition((("u",), ("u", "v"), ("v", "w")))
     assert tl.intro_intervals(pd) == {"u": (1, 2), "v": (2, 3), "w": (3, 3)}
+    broken = PathDecomposition((("u", "v"), ("v",), ("u", "w")))
+    got = tl.intro_intervals(broken)
+    assert list(got.items()) == [("u", (1, 3)), ("v", (1, 2)), ("w", (3, 3))]
+
+
+def test_intro_intervals_returns_a_fresh_dict():
+    """The intervals are computed once per decomposition, and a caller who
+    changes the returned dict does not change what validation and layout
+    read."""
+    g, _ = tl.grid_graph(3)
+    order = tl.pathwidth_exact(g)[1]
+    pd = tl.order_to_decomposition(g, order)
+    ell = tl.layout_decomposition(g, PathDecomposition(pd.bags))[1].ell
+    got = tl.intro_intervals(pd)
+    for v, (_, hi) in got.items():
+        got[v] = (hi, hi)
+    del got[order[0]]
+    assert tl.intro_intervals(pd) != got
+    assert tl.validate_decomposition(g, pd) == ()
+    assert tl.layout_decomposition(g, pd)[1].ell == ell
 
 
 # --------------------------------------------------------- exact pathwidth
