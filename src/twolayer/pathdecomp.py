@@ -2,10 +2,10 @@
 
 A path decomposition is an ordered sequence of bags subject to the cover,
 edge, and contiguity conditions.  Pathwidth is computed exactly through the
-vertex-separation formulation (they coincide), by a search that expands only
-the prefix sets of vertices with an edge that are no costlier than the
-optimum.  Its table has 2^n entries for n such vertices, so isolated vertices
-cost nothing, while the vertex cap (20 by default) still counts them all.
+vertex-separation formulation (they coincide), by a bottleneck search over
+the subsets of the vertices with an edge that works on whole families of
+subsets at once, each one int of 2^n bits for n such vertices.  So isolated
+vertices cost nothing, while the vertex cap (20 by default) still counts them.
 """
 
 from __future__ import annotations
@@ -142,10 +142,56 @@ def intro_intervals(pd: PathDecomposition) -> dict[str, tuple[int, int]]:
 
 
 # ===================================================================
-# exact pathwidth (vertex separation, bottleneck search)
+# exact pathwidth (vertex separation, bit-parallel bottleneck search)
 # ===================================================================
 
-_UNSEEN = 255  # level of a set the search has not reached; above any width
+def _reached_families(nbr: list[int]) -> list[int]:
+    """R_w = {S : f(S) <= w} for w = 0, 1, ..., f(V), V the vertices of the
+    neighbour bitmasks `nbr`.  A family of subsets is an int, bit S set iff
+    S is in it.  R_w is the closure of R_(w-1) + {{}} under adding a vertex
+    i, `(R & without[i]) << 2^i`, while the boundary stays at most w.  Set S
+    has i on its boundary iff it is in some without[j], j in N(i), but not
+    in without[i]; plane p of the bit-sliced counts holds their bit p."""
+    n = len(nbr)
+    size = 1 << n
+    every = (1 << size) - 1
+    without = []
+    for i in range(n):
+        if i < 3:  # periods within a byte
+            pattern = bytes(((0x55, 0x33, 0x0F)[i],)) * max(size >> 3, 1)
+        else:
+            half = 1 << (i - 3)
+            pattern = (b"\xff" * half + b"\x00" * half) * (size >> (i + 1))
+        without.append(int.from_bytes(pattern, "little") & every)
+    planes = [0] * n.bit_length()
+    for i, m in enumerate(nbr):
+        carry = 0
+        for j in range(n):
+            if m >> j & 1:
+                carry |= without[j]
+        carry &= ~without[i]
+        for p, plane in enumerate(planes):
+            planes[p], carry = plane ^ carry, plane & carry
+    reached: list[int] = []
+    r = 0
+    while not r >> (size - 1):
+        w = len(reached)
+        above, tied = 0, every  # counts above w; equal to w in planes so far
+        for p in reversed(range(len(planes))):
+            if w >> p & 1:
+                tied &= planes[p]
+            else:
+                above |= tied & planes[p]
+                tied &= ~planes[p]
+        cheap = every ^ above
+        r |= 1
+        grown = -1
+        while grown != r:
+            grown = r
+            for i, mask in enumerate(without):
+                r |= (r & mask) << (1 << i) & cheap
+        reached.append(r)
+    return reached
 
 
 def pathwidth_exact(
@@ -161,24 +207,17 @@ def pathwidth_exact(
     max(f(S - v), boundary(S)), and the pathwidth is f(V).
 
     An isolated vertex never joins a boundary, so f(S) = f(S & L), where L
-    holds the live vertices (degree >= 1), and the search runs over L alone:
-    its table has 2^|L| entries, while the cap still counts every vertex.
-    A bottleneck search from {} finds f(S) for every S within L with
-    f(S) <= f(L).  It expands sets in buckets of cost 0, 1, 2, ...; a set
-    first reached from bucket w costs max(w, boundary), which is final since
-    every cheaper set was expanded before.  Costs go into the table, from
-    which each bucket is read back when its turn comes.  The search stops
-    once the bucket holding L is exhausted, so every unreached set costs
-    more than f(L).
+    holds the live vertices (degree >= 1), and the search runs over L alone,
+    while the cap still counts every vertex.  It builds R_w = {S within L :
+    f(S) <= w} for w = 0, 1, ... until L is in R_w, each family of subsets
+    one int of 2^|L| bits, and keeps O(|L|) of them.
 
     The order is rebuilt from V by removing, at each step, the lowest-index
-    vertex v with f(S - v) <= f(S), the tie-break of the full 2^n subset DP,
-    so the order equals the DP's, not merely another optimal one.  An
-    isolated vertex always qualifies and removing it leaves S & L as it
-    was, so the live removals follow from the table alone, and each step
-    takes the lower-indexed of the next live removal and the lowest isolated
-    vertex left.  The order converts to a decomposition of exactly this
-    width.
+    vertex v with f(S - v) <= f(S), i.e. S - v in R_f(S), the tie-break of
+    the full 2^n subset DP, so the order equals the DP's.  An isolated
+    vertex always qualifies and removing it leaves S & L as it was, so each
+    step takes the lower-indexed of the next live removal and the lowest
+    isolated vertex left.  The order's decomposition has exactly this width.
     """
     verts = graph.vertices
     if not verts:
@@ -188,64 +227,25 @@ def pathwidth_exact(
     nbrs = graph.neighbors
     live = [i for i, v in enumerate(verts) if nbrs[v]]
     index = {verts[i]: j for j, i in enumerate(live)}
-    n = len(live)
-    nbr = [0] * n
+    nbr = [0] * len(live)
     for u, v in graph.edges:
         nbr[index[u]] |= 1 << index[v]
         nbr[index[v]] |= 1 << index[u]
-    # (bit, neighborhood) of each neighbor, for the O(deg v) boundary update
-    adj = [[(1 << j, nbr[j]) for j in range(n) if m >> j & 1] for m in nbr]
-    full = (1 << n) - 1
-    level = bytearray([_UNSEEN]) * (1 << n)
-    level[0] = 0
-    for w in range(n):
-        # A set of cost w found from a cheaper bucket has boundary w and is
-        # read back from the table.  One reached from this bucket goes on
-        # the same stack, as `set | boundary << n`.
-        mark = bytes((w,))
-        stack: list[int] = []
-        s = level.find(mark)
-        while s >= 0:
-            stack.append(s | w << n)
-            s = level.find(mark, s + 1)
-        while stack:
-            x = stack.pop()
-            s = x & full
-            b = x >> n
-            t = full ^ s
-            while t:
-                low = t & -t
-                t ^= low
-                u = s | low
-                if level[u] != _UNSEEN:
-                    continue
-                out = full ^ u
-                i = low.bit_length() - 1
-                # v joins the boundary if it has a neighbor outside; a
-                # neighbor in S leaves it once its last outside neighbor is v
-                c = b + (nbr[i] & out != 0)
-                for bit, nb in adj[i]:
-                    if s & bit and not nb & out:
-                        c -= 1
-                if c > w:
-                    level[u] = c
-                else:
-                    level[u] = w
-                    stack.append(u | c << n)
-        if level[full] <= w:
-            break
+    reached = _reached_families(nbr)
+    width = cost = len(reached) - 1
 
     # isolated vertices by index, lowest last: each is removed before the
     # first live removal of a higher index
     isolated = [i for i in reversed(range(len(verts))) if not nbrs[verts[i]]]
     order_rev: list[str] = []
-    s = full
+    s = (1 << len(live)) - 1
     while s:
-        cost = level[s]
+        while cost and reached[cost - 1] >> s & 1:
+            cost -= 1
         t = s
         while t:
             low = t & -t
-            if level[s ^ low] <= cost:
+            if reached[cost] >> (s ^ low) & 1:
                 break
             t ^= low
         else:
@@ -256,7 +256,7 @@ def pathwidth_exact(
         order_rev.append(verts[i])
         s ^= low
     order_rev.extend(verts[i] for i in reversed(isolated))
-    return level[full], tuple(reversed(order_rev))
+    return width, tuple(reversed(order_rev))
 
 
 def order_to_decomposition(

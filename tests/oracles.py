@@ -2,10 +2,10 @@
 
 Those that enumerate subsets or vertex orderings refuse inputs above a
 small cap with CapExceededError.  The rest are the library's former
-exact-pathwidth DP, order-to-bags conversion, minimal-unachievable filter,
-(s,t) row scan (with and without its stop at the capped pair),
-unique-introduction staging, and the join-based SVG and pd.json writers,
-kept as references.
+exact-pathwidth DP and bucket search, order-to-bags conversion,
+minimal-unachievable filter, (s,t) row scan (with and without its stop at
+the capped pair), unique-introduction staging, and the join-based SVG and
+pd.json writers, kept as references.
 """
 
 import bisect
@@ -161,6 +161,121 @@ def dp_pathwidth(
         order_rev.append(verts[chosen])
         s ^= 1 << chosen
     return f[full], tuple(reversed(order_rev))
+
+
+_UNSEEN = 255  # level of a set the search has not reached; above any width
+
+
+def bucket_pathwidth(
+    graph: tl.BipartiteGraph, cap: int = 20
+) -> tuple[int, tuple[str, ...]]:
+    """Exact pathwidth with an optimal vertex order, by the bucket search
+    that `pathwidth_exact` ran before its bit-parallel search.
+
+    Pathwidth equals the vertex separation number (Kinnersley 1992): the
+    least, over vertex orders, of the largest boundary of a prefix, where
+    boundary(S) counts the vertices of S with a neighbor outside S.  The cost
+    f(S) of a prefix set is the least largest boundary over the chains
+    {} < ... < S that add one vertex at a time, so f(S) = min over v in S of
+    max(f(S - v), boundary(S)), and the pathwidth is f(V).
+
+    An isolated vertex never joins a boundary, so f(S) = f(S & L), where L
+    holds the live vertices (degree >= 1), and the search runs over L alone:
+    its table has 2^|L| entries, while the cap still counts every vertex.
+    A bottleneck search from {} finds f(S) for every S within L with
+    f(S) <= f(L).  It expands sets in buckets of cost 0, 1, 2, ...; a set
+    first reached from bucket w costs max(w, boundary), which is final since
+    every cheaper set was expanded before.  Costs go into the table, from
+    which each bucket is read back when its turn comes.  The search stops
+    once the bucket holding L is exhausted, so every unreached set costs
+    more than f(L).
+
+    The order is rebuilt from V by removing, at each step, the lowest-index
+    vertex v with f(S - v) <= f(S), the tie-break of the full 2^n subset DP,
+    so the order equals the DP's, not merely another optimal one.  An
+    isolated vertex always qualifies and removing it leaves S & L as it
+    was, so the live removals follow from the table alone, and each step
+    takes the lower-indexed of the next live removal and the lowest isolated
+    vertex left.  The order converts to a decomposition of exactly this
+    width.
+    """
+    verts = graph.vertices
+    if not verts:
+        raise GraphError("pathwidth is undefined for the empty graph")
+    if len(verts) > cap:
+        raise CapExceededError(f"{len(verts)} vertices exceeds pathwidth cap {cap}")
+    nbrs = graph.neighbors
+    live = [i for i, v in enumerate(verts) if nbrs[v]]
+    index = {verts[i]: j for j, i in enumerate(live)}
+    n = len(live)
+    nbr = [0] * n
+    for u, v in graph.edges:
+        nbr[index[u]] |= 1 << index[v]
+        nbr[index[v]] |= 1 << index[u]
+    # (bit, neighborhood) of each neighbor, for the O(deg v) boundary update
+    adj = [[(1 << j, nbr[j]) for j in range(n) if m >> j & 1] for m in nbr]
+    full = (1 << n) - 1
+    level = bytearray([_UNSEEN]) * (1 << n)
+    level[0] = 0
+    for w in range(n):
+        # A set of cost w found from a cheaper bucket has boundary w and is
+        # read back from the table.  One reached from this bucket goes on
+        # the same stack, as `set | boundary << n`.
+        mark = bytes((w,))
+        stack: list[int] = []
+        s = level.find(mark)
+        while s >= 0:
+            stack.append(s | w << n)
+            s = level.find(mark, s + 1)
+        while stack:
+            x = stack.pop()
+            s = x & full
+            b = x >> n
+            t = full ^ s
+            while t:
+                low = t & -t
+                t ^= low
+                u = s | low
+                if level[u] != _UNSEEN:
+                    continue
+                out = full ^ u
+                i = low.bit_length() - 1
+                # v joins the boundary if it has a neighbor outside; a
+                # neighbor in S leaves it once its last outside neighbor is v
+                c = b + (nbr[i] & out != 0)
+                for bit, nb in adj[i]:
+                    if s & bit and not nb & out:
+                        c -= 1
+                if c > w:
+                    level[u] = c
+                else:
+                    level[u] = w
+                    stack.append(u | c << n)
+        if level[full] <= w:
+            break
+
+    # isolated vertices by index, lowest last: each is removed before the
+    # first live removal of a higher index
+    isolated = [i for i in reversed(range(len(verts))) if not nbrs[verts[i]]]
+    order_rev: list[str] = []
+    s = full
+    while s:
+        cost = level[s]
+        t = s
+        while t:
+            low = t & -t
+            if level[s ^ low] <= cost:
+                break
+            t ^= low
+        else:
+            raise CertificateError(f"no vertex attains the optimal separation {cost}")
+        i = live[low.bit_length() - 1]
+        while isolated and isolated[-1] < i:
+            order_rev.append(verts[isolated.pop()])
+        order_rev.append(verts[i])
+        s ^= low
+    order_rev.extend(verts[i] for i in reversed(isolated))
+    return level[full], tuple(reversed(order_rev))
 
 
 def naive_order_to_decomposition(

@@ -12,13 +12,16 @@ from twolayer import (
     BipartiteGraph,
     CapExceededError,
     DecompositionError,
+    FuzzConfig,
     GraphError,
     PathDecomposition,
+    fuzz,
 )
 
 from conftest import decompositions, graphs
 from oracles import (
     brute_pathwidth,
+    bucket_pathwidth,
     dp_pathwidth,
     naive_normalize_unique_intro,
     naive_order_to_decomposition,
@@ -234,22 +237,22 @@ def test_pathwidth_errors():
 
 
 def test_pathwidth_order_rebuild_raises_on_inconsistent_table(monkeypatch):
-    """If no vertex attains the table's optimum, the order cannot be rebuilt:
-    a table that reads 0 for the whole of a connected graph, whose every
-    smaller set has a vertex with a neighbour outside it, raises
-    CertificateError (an `assert` would vanish under `python -O`).  The table
-    is built as `bytearray([x]) * size`, so the product keeps the hook."""
+    """If no vertex attains the search's optimum, the order cannot be
+    rebuilt: families that claim f(V) = 0 for the whole of a connected
+    graph, whose every smaller set has a vertex with a neighbour outside it,
+    raise CertificateError (an `assert` would vanish under `python -O`).
+    The families come from one private helper; the hook keeps its true R_0
+    and adds V to it."""
     from twolayer import pathdecomp
 
-    class ZeroForFullSet(bytearray):
-        def __mul__(self, size):
-            return ZeroForFullSet(bytes(self) * size)
+    search = pathdecomp._reached_families
 
-        def __getitem__(self, i):
-            return 0 if i == len(self) - 1 else super().__getitem__(i)
+    def zero_for_full_set(nbr):
+        return [search(nbr)[0] | 1 << ((1 << len(nbr)) - 1)]
 
-    monkeypatch.setattr(pathdecomp, "bytearray", ZeroForFullSet, raising=False)
+    monkeypatch.setattr(pathdecomp, "_reached_families", zero_for_full_set)
     path = BipartiteGraph(("a", "c"), ("b",), (("a", "b"), ("c", "b")))
+    assert search([0b010, 0b101, 0b010])[0] == 1  # only {} costs 0
     with pytest.raises(tl.CertificateError, match="optimal separation 0"):
         tl.pathwidth_exact(path)
 
@@ -404,24 +407,91 @@ def test_edgeless_pathwidth_allocates_one_table_entry(monkeypatch):
     """An edgeless graph at the vertex cap has width 0 and the DP's order
     (every vertex attains f, so the rebuild removes the lowest index first,
     as `dp_pathwidth` does on the smaller edgeless graphs of the corpus),
-    and its table has the single entry of the empty live set."""
+    and its search runs over no live vertex, so each family has the single
+    bit of the empty live set."""
     from twolayer import pathdecomp
 
-    sizes = []
+    calls = []
+    search = pathdecomp._reached_families
 
-    class RecordingTable(bytearray):
-        def __mul__(self, size):
-            sizes.append(size)
-            return bytearray(bytes(self) * size)
+    def recording(nbr):
+        families = search(nbr)
+        calls.append((len(nbr), families))
+        return families
 
-    monkeypatch.setattr(pathdecomp, "bytearray", RecordingTable, raising=False)
+    monkeypatch.setattr(pathdecomp, "_reached_families", recording)
     g = BipartiteGraph(
         tuple(f"a{i}" for i in range(10)), tuple(f"b{i}" for i in range(10)), ()
     )
     assert tl.pathwidth_exact(g) == (0, tuple(reversed(g.vertices)))
-    assert sizes == [1]
+    assert calls == [(0, [1])]
     small = BipartiteGraph(g.a[:5], g.b[:5], ())
     assert dp_pathwidth(small) == (0, tuple(reversed(small.vertices)))
+
+
+def _complete_bipartite(na, nb):
+    a = tuple(f"a{i}" for i in range(na))
+    b = tuple(f"b{j}" for j in range(nb))
+    return BipartiteGraph(a, b, tuple((u, v) for u in a for v in b))
+
+
+def _bucket_search_corpus():
+    """Every graph of a 600-trial 6+6 fuzz sweep, the pinned 18-vertex
+    graphs and K_{4,4}, graphs with 0, 2 and 3 live vertices (families of
+    fewer than 8 bits, and of exactly 8), and 20-vertex graphs at the
+    default cap."""
+    config = FuzzConfig(trials=600, seed=1, na_max=6, nb_max=6)
+    for trial in range(config.trials):
+        g = fuzz._trial_drawing(config, trial)[1].graph
+        if g.vertices:
+            yield g
+    for seed in (1, 2, 3):
+        yield tl.random_drawing(9, 9, 0.3, seed)[0]
+    yield _complete_bipartite(4, 4)
+    yield BipartiteGraph(("a",), (), ())
+    yield BipartiteGraph(("a", "c"), ("b", "d"), ())
+    yield BipartiteGraph(("a",), ("b",), (("a", "b"),))
+    yield BipartiteGraph(("z", "a"), ("b", "y"), (("a", "b"),))
+    yield BipartiteGraph(("a", "c"), ("b",), (("a", "b"), ("c", "b")))
+    yield BipartiteGraph(("a", "x", "c"), ("w", "b"), (("c", "b"), ("a", "b")))
+    for p, seed in ((0.15, 7), (0.2, 7), (0.3, 7), (0.3, 8)):
+        yield tl.random_drawing(10, 10, p, seed)[0]
+
+
+def test_pathwidth_equals_bucket_search_tuple():
+    """The bit-parallel search returns the former bucket search's (width,
+    order) tuple, which its own tests pinned against the subset DP."""
+    live_counts = set()
+    for g in _bucket_search_corpus():
+        assert tl.pathwidth_exact(g) == bucket_pathwidth(g), g
+        live_counts.add(sum(1 for v in g.vertices if g.neighbors[v]))
+    assert {0, 2, 3} <= live_counts and max(live_counts) == 20
+
+
+def test_reached_families_of_one_vertex():
+    """A lone vertex (no neighbours) gives the 2-bit family {{}, {0}} at
+    width 0; a graph never has one live vertex, so only the helper meets it."""
+    from twolayer import pathdecomp
+
+    assert pathdecomp._reached_families([0]) == [0b11]
+
+
+def test_complete_bipartite_10_10_pathwidth_peak_memory():
+    """The search keeps O(L) families of 2^L bits: on K_{10,10} its traced
+    peak stays below 8 MiB (the bucket search's table and read-back lists
+    peaked at 8.3 MiB)."""
+    import tracemalloc
+
+    g = _complete_bipartite(10, 10)
+    tracemalloc.start()
+    try:
+        got = tl.pathwidth_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] == 10
+    assert tl.order_to_decomposition(g, got[1]).width == 10
+    assert peak < 8 << 20, peak
 
 
 def test_order_to_decomposition_matches_rescanning_oracle():
