@@ -19,7 +19,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, suppress
-from typing import Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
 from .errors import CapExceededError, GraphError, TwoLayerError
 from .graphs import (
@@ -40,6 +40,9 @@ from .graphs import (
     graph_to_json,
     random_drawing,
 )
+
+if TYPE_CHECKING:
+    from .pathdecomp import PathDecomposition
 
 
 def _read(path: str) -> str:
@@ -254,33 +257,38 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    from .pathdecomp import _decomposition_from_object
+    from .pathdecomp import PathDecomposition
     from .render import render_decomposition, render_drawing
 
-    data = _load_object(_read(args.infile))
-    if "bags" in data:
-        pd = _decomposition_from_object(data)
-        with _output(args.out) as fh:
-            render_decomposition(pd, fh)
-    else:
-        drawing = _drawing_from_object(data)
-        with _output(args.out) as fh:
-            render_drawing(drawing, fh)
+    payload = _render_payload(_read(args.infile))
+    with _output(args.out) as fh:
+        if isinstance(payload, PathDecomposition):
+            render_decomposition(payload, fh)
+        else:
+            render_drawing(payload, fh)
     return 0
+
+
+def _render_payload(text: str) -> PathDecomposition | TwoLayerDrawing:
+    """The decomposition or the drawing in ``text``, from one decode: a
+    document shaped like pd.json goes through the decomposition reader's
+    bag-at-a-time path, anything else through ``json.loads``."""
+    from .pathdecomp import _decomposition_from_object, _plain_decomposition
+
+    pd = _plain_decomposition(text)
+    if pd is not None:
+        return pd
+    data = _load_object(text)
+    if "bags" in data:
+        return _decomposition_from_object(data)
+    return _drawing_from_object(data)
 
 
 # ===================================================================
 # parser
 # ===================================================================
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twolayer",
-        description="Two-layer bipartite drawings, their crossing structure, "
-        "and certified conversions to and from path decompositions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_gen(sub: argparse._SubParsersAction) -> None:
     gen = sub.add_parser("gen", help="generate an example graph or drawing")
     fam = gen.add_subparsers(dest="family", required=True)
     tree = fam.add_parser("tree", help="complete binary tree with drawing")
@@ -308,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-n", type=_int_from(0), default=cap, dest="cap_n")
         p.set_defaults(func=_cmd_gen)
 
+
+def _add_analyze(sub: argparse._SubParsersAction) -> None:
     analyze = sub.add_parser("analyze", help="crossing analytics for a drawing")
     analyze.add_argument("--in", dest="infile", required=True)
     analyze.add_argument("--out", default=None)
@@ -315,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--cap-edges", type=_int_from(0), default=DEFAULT_ST_EDGE_CAP)
     analyze.set_defaults(func=_cmd_analyze)
 
+
+def _add_decompose(sub: argparse._SubParsersAction) -> None:
     dec = sub.add_parser(
         "decompose", help="drawing -> certified path decomposition"
     )
@@ -325,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--cap-edges", type=_int_from(0), default=DEFAULT_ST_EDGE_CAP)
     dec.set_defaults(func=_cmd_decompose)
 
+
+def _add_layout(sub: argparse._SubParsersAction) -> None:
     lay = sub.add_parser(
         "layout", help="path decomposition -> certified drawing"
     )
@@ -335,18 +349,24 @@ def build_parser() -> argparse.ArgumentParser:
     lay.add_argument("--cap-edges", type=_int_from(0), default=DEFAULT_ST_EDGE_CAP)
     lay.set_defaults(func=_cmd_layout)
 
+
+def _add_pathwidth(sub: argparse._SubParsersAction) -> None:
     pw = sub.add_parser("pathwidth", help="exact pathwidth of a small graph")
     pw.add_argument("--in", dest="infile", required=True)
     pw.add_argument("--out", default=None)
     pw.add_argument("--cap-n", type=_int_from(0), default=DEFAULT_PATHWIDTH_CAP)
     pw.set_defaults(func=_cmd_pathwidth)
 
+
+def _add_check_pd(sub: argparse._SubParsersAction) -> None:
     chk = sub.add_parser("check-pd", help="validate a path decomposition")
     chk.add_argument("--in", dest="infile", required=True)
     chk.add_argument("--graph", required=True)
     chk.add_argument("--out", default=None)
     chk.set_defaults(func=_cmd_check_pd)
 
+
+def _add_fuzz(sub: argparse._SubParsersAction) -> None:
     fz = sub.add_parser("fuzz", help="randomized invariant sweep")
     fz.add_argument("--trials", type=int, default=100)
     fz.add_argument("--seed", type=int, default=0)
@@ -367,16 +387,50 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--out", default=None)
     fz.set_defaults(func=_cmd_fuzz)
 
+
+def _add_render(sub: argparse._SubParsersAction) -> None:
     ren = sub.add_parser("render", help="SVG for a drawing or decomposition")
     ren.add_argument("--in", dest="infile", required=True)
     ren.add_argument("--out", default=None)
     ren.set_defaults(func=_cmd_render)
 
+
+# Each subcommand's parser builder, in the order the help lists them.
+_SUBCOMMANDS = {
+    "gen": _add_gen,
+    "analyze": _add_analyze,
+    "decompose": _add_decompose,
+    "layout": _add_layout,
+    "pathwidth": _add_pathwidth,
+    "check-pd": _add_check_pd,
+    "fuzz": _add_fuzz,
+    "render": _add_render,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when ``command`` names one, of that
+    one alone.  Its messages are the same either way for an argv that starts
+    with ``command``: the usage line spells out every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="twolayer",
+        description="Two-layer bipartite drawings, their crossing structure, "
+        "and certified conversions to and from path decompositions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command in _SUBCOMMANDS:
+        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+        _SUBCOMMANDS[command](sub)
+    else:
+        for add in _SUBCOMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

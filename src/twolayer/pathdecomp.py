@@ -14,6 +14,7 @@ import json
 from collections import defaultdict
 from functools import cached_property
 from itertools import accumulate, chain, repeat
+from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -388,11 +389,63 @@ def _decomposition_json(pd: PathDecomposition) -> Iterator[str]:
 
 
 def decomposition_from_json(text: str) -> PathDecomposition:
+    pd = _plain_decomposition(text)
+    if pd is not None:
+        return pd
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DecompositionError(f"invalid JSON: {exc}") from None
     return _decomposition_from_object(data)
+
+
+def _plain_decomposition(text: str) -> PathDecomposition | None:
+    """The decomposition of a valid document shaped as
+    ``decomposition_to_json`` writes it, ``{"bags": [bag, ...]}`` with any
+    JSON whitespace, or None for any other text, which ``json.loads`` then
+    reads and reports on as before.
+
+    It decodes one bag at a time and keeps one str per distinct id, where
+    ``json.loads`` would hold every bag at once and one str per occurrence."""
+    if not isinstance(text, str):
+        return None
+    ws = WHITESPACE.match
+    i = 0
+    for token in ("{", '"bags"', ":", "["):
+        i = ws(text, i).end()
+        if not text.startswith(token, i):
+            return None
+        i += len(token)
+    decode = json.JSONDecoder().raw_decode
+    memo: dict[str, str] = {}
+    bags = []
+    i = ws(text, i).end()
+    more = not text.startswith("]", i)
+    if not more:
+        i += 1
+    while more:
+        try:
+            bag, i = decode(text, ws(text, i).end())
+        except json.JSONDecodeError:
+            return None
+        if not isinstance(bag, list):
+            return None
+        try:
+            bags.append(tuple(map(memo.setdefault, bag, bag)))
+        except TypeError:  # an id that is a list or an object
+            return None
+        i = ws(text, i).end()
+        if not text.startswith((",", "]"), i):
+            return None
+        more = text[i] == ","
+        i += 1
+    i = ws(text, i).end()
+    if not text.startswith("}", i) or ws(text, i + 1).end() != len(text):
+        return None
+    # Each distinct id is a key of the memo, so one type check covers it.
+    if not all(map(isinstance, memo, repeat(str))):
+        return None
+    return PathDecomposition(bags)
 
 
 def _decomposition_from_object(data: object) -> PathDecomposition:

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes."""
 
+import argparse
 import errno
 import hashlib
 import json
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import twolayer as tl
+from twolayer import cli, pathdecomp
 from twolayer.cli import _output, _write, main
 
 from conftest import record_interval_passes
@@ -238,6 +240,9 @@ def test_pathwidth_cap_is_exit_3(capsys, tmp_path):
 WIDE_DIGESTS = {
     "pd.json": "9809c544358332853dd39d126f2083036c56efb155f4488de3ce0575d7f67792",
     "cert.json": "2bdc3c02f118d4282817df846b1a393fa5d3e96edd2a670ad4793a74ba76bc64",
+    "check.json": "6cc15492178bb63a6ca07b39b5f1137dbe764647b93b98e9eeab7a9d0986faf5",
+    "layout.json": "931a8393c6ab24713527a03afe25a10db38be74dd73f86a8c32686fddb014b01",
+    "lcert.json": "7dbb3cfd0644eee372956cf80b053dc7b95a86bd05ce2dc4546a3c60b9f643a7",
     "pd.svg": "5a2ab42dd4143b78bd3cfe8db8d06c473e8328a46494e2efc8237da6221131c3",
     "drawing.svg": "d70c0316698b536d317f3234beb2a58e0b67dd746906b61a8abb31141ef0c5a6",
     "gen.svg": "d70c0316698b536d317f3234beb2a58e0b67dd746906b61a8abb31141ef0c5a6",
@@ -246,7 +251,8 @@ WIDE_DIGESTS = {
 
 def test_wide_output_bytes_are_pinned(capsys, tmp_path):
     """The streamed pd.json, cert.json and SVG writers keep the bytes of the
-    join-based ones on a 160x160 drawing with bags up to 271 wide."""
+    join-based ones on a 160x160 drawing with bags up to 271 wide, and
+    check-pd, layout and render read that pd.json back to the same bytes."""
     path = {name: str(tmp_path / name) for name in ("drawing.json", *WIDE_DIGESTS)}
     gen = ("gen", "random", "--na", "160", "--nb", "160", "--p", "0.032", "--seed", "3")
     for argv in (
@@ -254,6 +260,10 @@ def test_wide_output_bytes_are_pinned(capsys, tmp_path):
         (*gen, "--format", "svg", "--out", path["gen.svg"]),
         ("decompose", "--in", path["drawing.json"],
          "--out", path["pd.json"], "--cert", path["cert.json"]),
+        ("check-pd", "--in", path["pd.json"], "--graph", path["drawing.json"],
+         "--out", path["check.json"]),
+        ("layout", "--in", path["pd.json"], "--graph", path["drawing.json"],
+         "--out", path["layout.json"], "--cert", path["lcert.json"]),
         ("render", "--in", path["pd.json"], "--out", path["pd.svg"]),
         ("render", "--in", path["drawing.json"], "--out", path["drawing.svg"]),
     ):
@@ -396,14 +406,28 @@ def test_write_ends_the_output_with_one_newline(capsys, tmp_path, text, written)
 def test_render_dispatches_on_payload(
     capsys, monkeypatch, tmp_path, tree_drawing_file
 ):
-    """Either payload kind is parsed once: the parse that picks the kind
-    also feeds the renderer."""
-    parses = []
-    real = json.loads
-    monkeypatch.setattr(json, "loads", lambda text: parses.append(1) or real(text))
+    """Either payload kind is decoded once: the decode that picks the kind
+    also feeds the renderer.  A pd.json is decoded by the decomposition's
+    bag reader, anything else by json.loads."""
+    decodes = []
+    real_loads = json.loads
+    real_reader = pathdecomp._plain_decomposition
+
+    def loads(text):
+        decodes.append("json.loads")
+        return real_loads(text)
+
+    def reader(text):
+        pd = real_reader(text)
+        if pd is not None:
+            decodes.append("bag reader")
+        return pd
+
+    monkeypatch.setattr(json, "loads", loads)
+    monkeypatch.setattr(pathdecomp, "_plain_decomposition", reader)
     code, out, _ = run(capsys, "render", "--in", str(tree_drawing_file))
     assert code == 0 and out.startswith("<svg")
-    assert len(parses) == 1
+    assert decodes == ["json.loads"]
 
     pd_path = tmp_path / "pd.json"
     pd_path.write_text(
@@ -411,7 +435,7 @@ def test_render_dispatches_on_payload(
     )
     code, out, _ = run(capsys, "render", "--in", str(pd_path))
     assert code == 0 and "<rect" in out
-    assert len(parses) == 2
+    assert decodes == ["json.loads", "bag reader"]
 
     code, _, err = run(capsys, "render", "--in", str(pd_path), "--format", "json")
     assert code == 2 and "error" in err
@@ -508,6 +532,75 @@ def test_malformed_payload_is_exit_1(capsys, tmp_path):
 def test_no_arguments_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+
+
+# ----------------------------------------------------------------- parser
+
+PARSER_EXITS = [
+    [],
+    ["--help"],
+    ["nosuch"],
+    *([command, "--help"] for command in cli._SUBCOMMANDS),
+    *(["gen", family, "--help"] for family in ("tree", "grid", "star", "random")),
+    # one usage error per command
+    ["gen", "random", "--na", "3"],
+    ["analyze", "--out", "a.json"],
+    ["decompose", "--in", "d.json", "--cap-st", "0"],
+    ["layout", "--in", "pd.json", "--graph", "g.json", "extra"],
+    ["pathwidth", "--in", "g.json", "--cap-n", "-1"],
+    ["check-pd", "--in", "pd.json"],
+    ["fuzz", "--trials", "x"],
+    ["render", "--in", "x.json", "--format", "json"],
+]
+
+
+def _full_tree_exit(capsys, argv):
+    """(exit code, stdout, stderr) of the parser of every subcommand on an
+    argv that it answers with help or a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_parser_of_one_command_answers_as_the_full_tree(capsys, monkeypatch, argv):
+    """main builds only the subparser that argv names, and writes the same
+    help and usage errors, byte for byte, as the parser of every command."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == _full_tree_exit(capsys, argv)
+
+
+def _subcommands(parser):
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "star", "--legs", "3", "--fan"],
+        ["analyze", "--in", "d.json", "--cap-edges", "5"],
+        ["decompose", "--in", "d.json", "--cert", "c.json"],
+        ["layout", "--in", "pd.json", "--graph", "g.json"],
+        ["pathwidth", "--in", "g.json"],
+        ["check-pd", "--in", "pd.json", "--graph", "g.json", "--out", "o.json"],
+        ["fuzz", "--checks", "layout", "--p-max", "0.5"],
+        ["render", "--in", "pd.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_parser_of_one_command_parses_as_the_full_tree(argv):
+    parser = cli.build_parser(argv[0])
+    assert _subcommands(parser) == [argv[0]]
+    assert parser.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_parser_without_a_command_has_every_subcommand():
+    for command in (None, "--help", "nosuch"):
+        assert _subcommands(cli.build_parser(command)) == list(cli._SUBCOMMANDS)
+    gen = cli.build_parser("gen")
+    assert gen.parse_args(["gen", "grid", "--side", "2"]).family == "grid"
 
 
 def test_stdin_convention_in_subprocess(tmp_path):

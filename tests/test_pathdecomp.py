@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -16,6 +17,7 @@ from twolayer import (
     GraphError,
     PathDecomposition,
     fuzz,
+    pathdecomp,
 )
 
 from conftest import decompositions, graphs
@@ -651,3 +653,113 @@ def test_malformed_bags_give_one_message(bags):
     """A bag that is not a list and an id that is not a string fail alike."""
     with pytest.raises(DecompositionError, match="^'bags' must be a list of lists of ids$"):
         tl.decomposition_from_json(json.dumps({"bags": bags}))
+
+
+def _reference_read(text):
+    """What decomposition_from_json returned before it read bag by bag: the
+    decomposition of ``json.loads(text)``, or the error it raised, as
+    (type, message)."""
+    try:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DecompositionError(f"invalid JSON: {exc}") from None
+        return pathdecomp._decomposition_from_object(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _read(text):
+    try:
+        return tl.decomposition_from_json(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_SMALL_PD = tl.decomposition_to_json(
+    PathDecomposition((("a0",), ("a0", "b1"), ("b1", "b2", "a3"), ()))
+)
+
+# Documents shaped as decomposition_to_json writes them, whitespace aside.
+PLAIN_TEXTS = [
+    _SMALL_PD,
+    json.dumps({"bags": [["a0", "b1"], ["b1", "b2"]]}, separators=(",", ":")),
+    json.dumps({"bags": [["a0", "b1"], ["b1", "b2"]]}, indent=4),
+    ' \t\r\n{ "bags" :\n[ [ "a0" ] ,\t[ ] ] }\n\n',
+    '{"bags": []}',
+    '{"bags": [ ]}',
+    '{"bags": [[]]}',
+    '{"bags": [["b1", "a0", "b1"], ["b1", "b1"]]}',
+    '{"bags": [["\\u0061\\u0030", "a0"], ["a0", "x\\n\\"y\\""]]}',
+    '{"bags": [["\\ud83d\\ude00", "\U0001f600"], ["\U0001f600", "\\u00e9t\\u00e9"]]}',
+]
+
+# Everything else, which json.loads reads and reports on.
+OTHER_TEXTS = [
+    "\ufeff" + _SMALL_PD,
+    '{\u00a0"bags": [["a0"]]}',
+    '{"bags":\u2028[["a0"]]}',
+    '{"bags": [["a0"]\u00a0]}',
+    '{"x": 1, "bags": [["a0"]]}',
+    '{"bags": [["a0"]], "x": 1}',
+    '{"bags": [["a0"]], "bags": [["b1"]]}',
+    '{"\\u0062ags": [["a0"]]}',
+    json.dumps({"pathwidth": 1, "order": ["a0", "b1"], "bags": [["a0", "b1"]]}, indent=2),
+    '{"bags": [["a0"], "b1"]}',
+    '{"bags": [["a0"], {"b1": 1}]}',
+    '{"bags": [[["a0"]]]}',
+    '{"bags": [["a0", 1]]}',
+    '{"bags": [["a0", {"b1": 1}]]}',
+    '{"bags": [[NaN]]}',
+    '{"bags": [["a0"], [null]]}',
+    '{"bags": {}}',
+    '{"bags": "a0"}',
+    '{"bags": [["a0"],]}',
+    '{"bags": [["a0"] ["b1"]]}',
+    '{"bags": [["a0"]]} x',
+    '{"bags": [["a0"]]}{}',
+    '{"bags": [["a0"]]}}',
+    "[]",
+    "{}",
+    "null",
+    "",
+    b'{"bags": [["a0"]]}',
+    *(_SMALL_PD[:end] for end in range(0, len(_SMALL_PD), 7)),
+]
+
+
+@pytest.mark.parametrize("text", PLAIN_TEXTS + OTHER_TEXTS)
+def test_reader_gives_what_json_loads_gave(text):
+    """The same decomposition, or the same error type and message, as the
+    json.loads reader, whichever path the text takes."""
+    assert _read(text) == _reference_read(text)
+
+
+@pytest.mark.parametrize("text", PLAIN_TEXTS)
+def test_plain_documents_keep_one_str_per_id(text):
+    pd = pathdecomp._plain_decomposition(text)
+    assert pd is not None
+    ids = [v for bag in pd.bags for v in bag]
+    assert len(set(map(id, ids))) == len(pd.vertices)
+
+
+@pytest.mark.parametrize("text", OTHER_TEXTS)
+def test_other_texts_go_through_json_loads(text):
+    assert pathdecomp._plain_decomposition(text) is None
+
+
+def test_reading_a_wide_decomposition_peaks_below_2_mib():
+    """json.loads held a str per id occurrence, 76,441 of them here, and
+    peaked at 5.0 MiB; the bag reader keeps one per distinct id."""
+    _, drawing = tl.random_drawing(160, 160, 0.032, 3)
+    text = tl.decomposition_to_json(tl.decompose_drawing(drawing)[0])
+    tracemalloc.start()
+    try:
+        pd = tl.decomposition_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    ids = [v for bag in pd.bags for v in bag]
+    assert len(ids) > 60000
+    assert len(set(map(id, ids))) == len(pd.vertices) == 320
