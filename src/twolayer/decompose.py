@@ -13,8 +13,8 @@ drawing avoids.
 
 from __future__ import annotations
 
-import bisect
 import json
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import (
@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .errors import CertificateError, GraphError
 from .graphs import Edge, TwoLayerDrawing, _Frozen
-from .pathdecomp import PathDecomposition, validate_decomposition
+from .pathdecomp import PathDecomposition, Violation, validate_decomposition
 
 BagTag = tuple  # ("Vi", i) or ("Vij", i, j), all indices 1-based except gap 0
 
@@ -97,67 +97,74 @@ def _gap_classes(
     drawing: TwoLayerDrawing, matching: Sequence[Edge]
 ) -> tuple[tuple[str, ...], ...]:
     """Y_0..Y_n: unmatched vertices strictly between consecutive matching
-    edges on their own rail, each class listing A then B by ascending rank."""
-    n = len(matching)
+    edges on their own rail, each class listing A then B by ascending rank:
+    as the matching rises, a vertex's gap counts the matched ones before it."""
     matched = {v for e in matching for v in e}
-    a_ranks = [drawing.pos_a[e[0]] for e in matching]
-    b_ranks = [drawing.pos_b[e[1]] for e in matching]
-    gaps_a: list[list[tuple[int, str]]] = [[] for _ in range(n + 1)]
-    gaps_b: list[list[tuple[int, str]]] = [[] for _ in range(n + 1)]
-    for v in drawing.order_a:
-        if v not in matched:
-            gaps_a[bisect.bisect_left(a_ranks, drawing.pos_a[v])].append(
-                (drawing.pos_a[v], v)
-            )
-    for v in drawing.order_b:
-        if v not in matched:
-            gaps_b[bisect.bisect_left(b_ranks, drawing.pos_b[v])].append(
-                (drawing.pos_b[v], v)
-            )
-    return tuple(
-        tuple(v for _, v in sorted(ga)) + tuple(v for _, v in sorted(gb))
-        for ga, gb in zip(gaps_a, gaps_b)
-    )
+    gaps: list[list[str]] = [[] for _ in range(len(matching) + 1)]
+    for rail in (drawing.order_a, drawing.order_b):
+        i = 0
+        for v in rail:
+            if v in matched:
+                i += 1
+            else:
+                gaps[i].append(v)
+    return tuple(map(tuple, gaps))
 
 
-def _build_bags(
+def _spans(
     drawing: TwoLayerDrawing,
     matching: Sequence[Edge],
     gaps: Sequence[Sequence[str]],
     cover: ChainCover,
-) -> tuple[
-    dict[Edge, tuple[int, int]], list[set[str]], list[tuple[str, ...]], list[BagTag]
-]:
-    """Recompute the V_i sets and the full bag sequence from certificate
-    parts.  Returns (the matching's crossed_runs, v_sets indexed 0..n+1
-    with empty sentinels, bags, tags).
-    """
-    n = len(matching)
+) -> tuple[dict[Edge, tuple[int, int]], list[int], PathDecomposition, list[BagTag]]:
+    """The construction's bags from certificate parts, one bag interval per
+    vertex: (the matching's crossed_runs, at, decomposition, tags).  Bag
+    at[i] is V_i, bag at[i] + j is V_(i,j), and at[n+1] is one past the last.
+    V_(i-1,j) and V_(i,j) contain V_i, so V_a..V_b span bags at[a-1]+1 ..
+    at[b+1]-1.  N+(x) shares the own block of x (V_i's for x on e_i, V_(i,j)'s
+    for x = y_(i,j)), and the head of an arc crossing e_lo..e_hi is in V_lo
+    .. V_hi.  Gap classes that miss or repeat a vertex, or bags of a vertex
+    that are not contiguous, raise CertificateError."""
     k = len(cover.chains)
     nplus = cover.closed_out_neighborhood
     runs = crossed_runs(drawing, matching)
-    v_sets: list[set[str]] = [set() for _ in range(n + 2)]
+    at = [0, *accumulate(len(ys) + 1 for ys in gaps)]
+    own: dict[str, tuple[int, int]] = {}
     for i, (x, y) in enumerate(matching, start=1):
-        v_sets[i] = set(nplus(x)) | set(nplus(y))
-        if len(v_sets[i]) > 2 * (k + 1):
+        if len({*nplus(x), *nplus(y)}) > 2 * (k + 1):
             raise CertificateError(f"closed neighborhoods around edge {i} too big")
-    for f, (_tail, head) in cover.arcs.items():
-        if f not in runs:
-            raise CertificateError(f"cover arc {f!r} is not an edge of the drawing")
-        lo, hi = runs[f]
-        for i in range(lo, hi + 1):
-            v_sets[i].add(head)
-    bags: list[tuple[str, ...]] = []
+        own[x] = own[y] = (at[i - 1] + 1, at[i + 1] - 1)
     tags: list[BagTag] = []
-    for i in range(n + 1):
-        if i >= 1:
-            bags.append(tuple(sorted(v_sets[i])))
+    for i, ys in enumerate(gaps):
+        if i:
             tags.append(("Vi", i))
-        for j, v in enumerate(gaps[i], start=1):
-            bag = v_sets[i] | v_sets[i + 1] | set(nplus(v))
-            bags.append(tuple(sorted(bag)))
+        for j, y in enumerate(ys, start=1):
             tags.append(("Vij", i, j))
-    return runs, v_sets, bags, tags
+            own[y] = (at[i] + j, at[i] + j)
+    # 2n matched vertices and one per gap bag, each met once
+    if len(own) != len(matching) + at[-1] - 1 or own.keys() != set(drawing.graph.vertices):
+        raise CertificateError("gap classes must partition the unmatched vertices")
+    blocks = [(lo, v, hi) for v, (lo, hi) in own.items()]
+    for f, (tail, head) in cover.arcs.items():
+        if f not in runs or f != (tail, head) and f != (head, tail):
+            raise CertificateError(f"cover arc {f!r} is not an edge of the drawing")
+        lo, hi = own[tail]
+        blocks.append((lo, head, hi))
+        lo, hi = runs[f]
+        if lo <= hi:
+            blocks.append((at[lo - 1] + 1, head, at[hi + 1] - 1))
+    # In (lo, id) order each vertex first shows at its own lo, and its bags
+    # stay contiguous while each block starts at most one past its reach.
+    blocks.sort()
+    span: dict[str, tuple[int, int]] = {}
+    for a, v, b in blocks:
+        lo, hi = span.get(v, (a, b))
+        if a > hi + 1:
+            top = max(b for _, u, b in blocks if u == v)
+            hole = Violation("contiguity", vertex=v, indices=(lo, hi + 1, top)).describe()
+            raise CertificateError(f"construction produced an invalid decomposition: {hole}")
+        span[v] = (lo, b if b > hi else hi)
+    return runs, at, PathDecomposition._from_intervals(span, at[-1] - 1), tags
 
 
 def decompose_drawing(
@@ -178,26 +185,16 @@ def decompose_drawing(
     matching = maximal_noncrossing_matching(drawing)
     gaps = _gap_classes(drawing, matching)
 
-    matched = {v for e in matching for v in e}
-    gap_all = [v for ys in gaps for v in ys]
-    if len(gap_all) != len(set(gap_all)) or set(gap_all) != (
-        set(drawing.graph.vertices) - matched
-    ):
-        raise CertificateError("gap classes must partition the unmatched vertices")
     gap_index = {v: i for i, ys in enumerate(gaps) for v in ys}
     for u, v in drawing.graph.edges:
         iu = gap_index.get(u)
         if iu is not None and iu == gap_index.get(v):
             raise CertificateError(f"edge {u, v} inside gap class {iu}")
 
-    _, _, bags, tags = _build_bags(drawing, matching, gaps, cover)
-    pd = PathDecomposition(tuple(bags))
-    violations = validate_decomposition(drawing.graph, pd)
-    if violations:
-        raise CertificateError(
-            "construction produced an invalid decomposition: "
-            + "; ".join(v.describe() for v in violations)
-        )
+    _, _, pd, tags = _spans(drawing, matching, gaps, cover)
+    if violations := validate_decomposition(drawing.graph, pd):
+        problems = "; ".join(v.describe() for v in violations)
+        raise CertificateError(f"construction produced an invalid decomposition: {problems}")
 
     frontier = st_profile(drawing, st_cap, edge_cap=edge_cap)
     unachievable = minimal_unachievable(frontier)
@@ -223,10 +220,10 @@ def certificate_bags(
 ) -> tuple[tuple[str, ...], ...]:
     """Rebuild the bag sequence from certificate components alone; must
     reproduce decompose_drawing's output exactly."""
-    _, _, bags, tags = _build_bags(drawing, cert.matching, cert.gaps, cert.cover)
+    _, _, pd, tags = _spans(drawing, cert.matching, cert.gaps, cert.cover)
     if tuple(tags) != cert.per_bag:
         raise CertificateError("certificate per-bag tags do not match the rebuilt bags")
-    return tuple(bags)
+    return pd.bags
 
 
 # ===================================================================
@@ -268,17 +265,11 @@ def audit_counting_bounds(
     if n == 0:
         return AuditReport(cert.k, 0, cert.unachievable, (), vacuous=True)
     k = cert.k
-    crossed, v_sets, bags, tags = _build_bags(
-        drawing, cert.matching, cert.gaps, cert.cover
-    )
+    crossed, at, pd, _ = _spans(drawing, cert.matching, cert.gaps, cert.cover)
+    sizes = pd._sizes  # |V_i| = sizes[at[i]], |V_(i,j)| = sizes[at[i] + j]
     violations: list[AuditViolation] = []
 
-    runs: list[tuple[str, int, int]] = []
-    for f, (_tail, head) in cert.cover.arcs.items():
-        lo, hi = crossed[f]
-        if lo <= hi:
-            runs.append((head, lo, hi))
-
+    runs = [(head, *crossed[f]) for f, (_tail, head) in cert.cover.arcs.items()]
     gap_index = {v: i for i, ys in enumerate(cert.gaps) for v in ys}
     yij: dict[tuple[int, int], set[str]] = {}
     for f, (tail, head) in cert.cover.arcs.items():
@@ -288,45 +279,39 @@ def audit_counting_bounds(
     for (i, j), members in sorted(yij.items()):
         bound = 2 * k * k * abs(j - i)
         if len(members) > bound:
-            violations.append(
-                AuditViolation("Yij", (i, j), len(members), bound)
-            )
+            violations.append(AuditViolation("Yij", (i, j), len(members), bound))
 
     for s, t in cert.unachievable:
         p_bound = 4 * k * k * (t - 1)
         v_bound = 2 * (k + 1) + p_bound + 2 * k * k * (s - 1) ** 2 * (s - 2)
-        for i in range(1, n + 1):
-            windows = []
-            if i - s + 1 >= 1:
-                windows.append((i - s + 1, i))
-            if i + s - 1 <= n:
-                windows.append((i, i + s - 1))
-            p_i = {
-                head
-                for head, lo, hi in runs
-                if any(lo <= a and hi >= b for a, b in windows)
-            }
-            if len(p_i) > p_bound:
-                violations.append(
-                    AuditViolation("Pi", (i, s, t), len(p_i), p_bound)
-                )
-            if len(v_sets[i]) > v_bound:
-                violations.append(
-                    AuditViolation("Vi", (i, s, t), len(v_sets[i]), v_bound)
-                )
+        # Heads of runs lo..hi holding the s edges ending (lo+s-1 <= i <= hi) or
+        # starting (lo <= i <= hi-s+1) at i, each counted once by differences.
+        delta = [0] * (n + 2)
+        held, end = None, 0
+        for head, a, b in sorted(
+            (head, a, b)
+            for head, lo, hi in runs
+            if hi - lo >= s - 1
+            for a, b in ((lo, hi - s + 1), (lo + s - 1, hi))
+        ):
+            a = max(a, end + 1) if head == held else a
+            if a <= b:
+                delta[a] += 1
+                delta[b + 1] -= 1
+                held, end = head, b
+        for i, p_i in enumerate(accumulate(delta[1 : n + 1]), start=1):
+            if p_i > p_bound:
+                violations.append(AuditViolation("Pi", (i, s, t), p_i, p_bound))
+            if sizes[at[i]] > v_bound:
+                violations.append(AuditViolation("Vi", (i, s, t), sizes[at[i]], v_bound))
 
-    for bag, tag in zip(bags, tags):
-        if tag[0] == "Vij":
-            i = tag[1]
-            bound = len(v_sets[i]) + len(v_sets[i + 1]) + (k + 1)
-            if len(bag) > bound:
-                violations.append(
-                    AuditViolation("Vij", tag[1:], len(bag), bound)
-                )
+    for i, ys in enumerate(cert.gaps):
+        bound = sizes[at[i]] + sizes[at[i + 1]] + (k + 1)
+        for j in range(1, len(ys) + 1):
+            if sizes[at[i] + j] > bound:
+                violations.append(AuditViolation("Vij", (i, j), sizes[at[i] + j], bound))
 
-    return AuditReport(
-        k, n, cert.unachievable, tuple(violations), vacuous=False
-    )
+    return AuditReport(k, n, cert.unachievable, tuple(violations), vacuous=False)
 
 
 def certificate_to_json(cert: DecompositionCertificate) -> str:

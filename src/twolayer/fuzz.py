@@ -152,10 +152,10 @@ def _run_check(
     drawing = trial.drawing
     graph = drawing.graph
     if check == "decompose":
-        pd, cert = trial.decomposition  # decompose_drawing validated pd
-        if pd.bags and cert.frontier_exact and pd.width > cert.width_bound:
-            return False, f"width {pd.width} exceeds bound {cert.width_bound}", cert
-        width = pd.width if pd.bags else 0
+        pd, cert = trial.decomposition  # validated; its bags are not built
+        width = pd.width if pd._count else 0
+        if width > cert.width_bound and cert.frontier_exact:
+            return False, f"width {width} exceeds bound {cert.width_bound}", cert
         return True, f"width {width} within bound {cert.width_bound}", cert
 
     if check == "audit":
@@ -187,9 +187,9 @@ def _run_check(
         return ok, detail, None
 
     if check == "counting":
-        sub = drop_isolated_a(drawing)
-        if not sub.graph.edges:
+        if not graph.edges:  # dropping isolated A-vertices keeps every edge
             return None, "skipped: no edges", None
+        sub = drop_isolated_a(drawing)
         # k is the trial's chain count and ell comes from a table over the
         # rails, so check_counting_bound's own max_crossing_set and
         # maximum_noncrossing_matching test each against an independent

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii
-from operator import eq
+from operator import eq, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
@@ -25,25 +25,69 @@ from .graphs import DEFAULT_PATHWIDTH_CAP, BipartiteGraph, Edge, _Frozen, _join_
 
 class PathDecomposition(_Frozen):
     """An ordered bag sequence.  Bags are kept as sorted vertex-id tuples so
-    serialization is canonical; bag indices are 1-based in all reporting."""
+    serialization is canonical; bag indices are 1-based in all reporting.
+    Builders give one bag interval per vertex; the bags are built when read."""
 
     _fields = ("bags",)
 
     def __init__(self, bags: Iterable[Iterable[str]]) -> None:
-        # Sorting a sorted bag is linear, and equal ids end up adjacent.
+        # Sort only a bag that is not strictly ascending; equal ids end adjacent.
         normalized = []
         for bag in bags:
-            ordered = sorted(bag)
-            if any(map(eq, ordered, ordered[1:])):
-                ordered = sorted(set(ordered))
-            normalized.append(tuple(ordered))
-        vars(self).update(bags=tuple(normalized))
+            ordered = tuple(bag)
+            try:
+                ascending = all(map(lt, ordered, ordered[1:]))
+            except TypeError:  # sorted raises it, as it always has
+                ascending = False
+            if not ascending:
+                ordered = sorted(ordered)
+                if any(map(eq, ordered, ordered[1:])):
+                    ordered = sorted(set(ordered))
+                ordered = tuple(ordered)
+            normalized.append(ordered)
+        vars(self).update(bags=tuple(normalized), _count=len(normalized))
+
+    @classmethod
+    def _from_intervals(cls, span: dict, count: int) -> PathDecomposition:
+        """`count` bags, v in bags lo..hi for (lo, hi) = span[v], in (lo, id) order."""
+        pd = cls.__new__(cls)
+        vars(pd).update(_intervals=(span, {}), _count=count)
+        return pd
+
+    @cached_property
+    def bags(self) -> tuple[tuple[str, ...], ...]:
+        # Only for given intervals: sweep them, keeping the ids held sorted.
+        enter: list[list[str]] = [[] for _ in range(self._count + 2)]
+        leave: list[list[str]] = [[] for _ in range(self._count + 2)]
+        for v, (lo, hi) in self._intervals[0].items():
+            enter[lo].append(v)
+            leave[hi + 1].append(v)
+        held: list[str] = []
+        out = []
+        for i in range(1, self._count + 1):
+            for v in leave[i]:
+                held.remove(v)
+            held += enter[i]
+            held.sort()
+            out.append(tuple(held))
+        return tuple(out)
+
+    @cached_property
+    def _sizes(self) -> list[int]:
+        """Bag sizes by 1-based index, 0 at either end; a sweep unless built."""
+        if "bags" in vars(self):
+            return [0, *map(len, self.bags), 0]
+        delta = [0] * (self._count + 2)
+        for lo, hi in self._intervals[0].values():
+            delta[lo] += 1
+            delta[hi + 1] -= 1
+        return list(accumulate(delta))
 
     @property
     def width(self) -> int:
-        if not self.bags:
+        if not self._count:
             raise DecompositionError("width is undefined for an empty bag list")
-        return max(len(bag) for bag in self.bags) - 1
+        return max(self._sizes) - 1
 
     @cached_property
     def vertices(self) -> frozenset[str]:
@@ -54,7 +98,7 @@ class PathDecomposition(_Frozen):
         """Each vertex's first and last 1-based bag, and the increasing bag
         indices of the vertices whose bags are not contiguous.  Both maps are
         keyed in order of first appearance (bag by bag, ids sorted within a
-        bag); only the second keeps index lists."""
+        bag), which is (lo, id) order; only the second keeps index lists."""
         where: defaultdict[str, list[int]] = defaultdict(list)
         for i, bag in enumerate(self.bags, start=1):
             for v in bag:
@@ -101,16 +145,16 @@ def validate_decomposition(
     [lo, hi] of bag indices it spans.  An edge lies in some bag only if its
     endpoints' intervals overlap, max(lo) <= min(hi), and exactly then when
     both endpoints' bags are contiguous; only an edge with a non-contiguous
-    endpoint compares index sets.  The cost is O(sum of bag sizes + m) for a
-    valid decomposition.
+    endpoint compares index sets.  The cost is O(n + m), plus the interval
+    pass over the bags when they are given as bags.
     """
     span, broken = pd._intervals
     vset = set(graph.vertices)
     # Keys come in order of first appearance, so the foreign id reported is
     # the first one a bag-by-bag scan meets.
-    for v, (lo, _) in span.items():
-        if v not in vset:
-            raise DecompositionError(f"bag {lo} contains foreign vertex {v!r}")
+    if not vset.issuperset(span):
+        v = next(v for v in span if v not in vset)
+        raise DecompositionError(f"bag {span[v][0]} contains foreign vertex {v!r}")
     out: list[Violation] = []
     for v in graph.vertices:
         if v not in span:
@@ -118,9 +162,7 @@ def validate_decomposition(
         elif v in broken:
             idx = broken[v]
             gap = next(i + 1 for i, j in zip(idx, idx[1:]) if j != i + 1)
-            out.append(
-                Violation("contiguity", vertex=v, indices=(idx[0], gap, idx[-1]))
-            )
+            out.append(Violation("contiguity", vertex=v, indices=(idx[0], gap, idx[-1])))
 
     def held(v: str) -> Sequence[int]:
         lo, hi = span[v]
@@ -128,7 +170,7 @@ def validate_decomposition(
 
     for u, v in graph.edges:
         su, sv = span.get(u), span.get(v)
-        covered = su and sv and max(su[0], sv[0]) <= min(su[1], sv[1])
+        covered = su and sv and su[0] <= sv[1] and sv[0] <= su[1]
         if covered and (u in broken or v in broken):
             covered = not set(held(u)).isdisjoint(held(v))
         if not covered:
@@ -267,24 +309,14 @@ def order_to_decomposition(
     earlier vertex that still has a neighbor outside the first i-1 vertices.
     The width equals the order's separation cost.
 
-    Each vertex keeps a count of its neighbors not yet placed, and the
-    placed vertices whose count is positive form the frontier, so the bags
-    cost O(n + m) beyond their own size."""
+    So v_i lies in bags i through the position of its last neighbor, if
+    later: O(n + m) for the intervals, and the bags are built when read."""
     if sorted(order) != sorted(graph.vertices):
         raise GraphError("order is not a permutation of the vertex set")
+    pos = {v: i for i, v in enumerate(order, start=1)}
     nbrs = graph.neighbors
-    unplaced = {v: len(ns) for v, ns in nbrs.items()}
-    frontier: set[str] = set()
-    bags: list[tuple[str, ...]] = []
-    for v in order:
-        bags.append((*frontier, v))
-        for w in nbrs[v]:
-            unplaced[w] -= 1
-            if not unplaced[w]:
-                frontier.discard(w)
-        if unplaced[v]:
-            frontier.add(v)
-    return PathDecomposition(tuple(bags))
+    span = {v: (i, max([i, *map(pos.__getitem__, nbrs[v])])) for v, i in pos.items()}
+    return PathDecomposition._from_intervals(span, len(order))
 
 
 # ===================================================================
@@ -335,22 +367,18 @@ def _staged_bags(pd: PathDecomposition, first: dict[str, int]) -> PathDecomposit
     A bag introducing two vertices moves every later first bag up a stage,
     so pd needs no staging exactly when the last vertex to appear is staged
     at the bag that introduces it.  Otherwise each bag's last stage is that
-    of its last new vertex, or one past the previous bag's when it has none,
-    and each vertex holds the stages from its own to the last of the last
-    bag holding it."""
+    of its last new vertex, or one past the previous bag's, and each vertex
+    spans the stages from its own to the last of its last bag."""
     span = pd._intervals[0]
     last = next(reversed(first), None)
     if last is None or first[last] == span[last][0]:
         return pd
-    top = [0] * (len(pd.bags) + 1)
+    top = [0] * (pd._count + 1)
     for v, stage in first.items():
         top[span[v][0]] = stage
     top = list(accumulate(top, lambda prev, stage: stage or prev + 1))
-    out: list[list[str]] = [[] for _ in range(top[-1])]
-    for v, stage in first.items():
-        for bag in out[stage - 1 : top[span[v][1]]]:
-            bag.append(v)
-    return PathDecomposition(out)
+    staged = {v: (stage, top[span[v][1]]) for v, stage in first.items()}
+    return PathDecomposition._from_intervals(staged, top[-1])
 
 
 # ===================================================================

@@ -4,6 +4,7 @@ import itertools
 import random
 from functools import cached_property
 
+import pytest
 from hypothesis import strategies as st
 
 import twolayer as tl
@@ -60,6 +61,24 @@ def random_corpus(
             continue
         out.append(d)
     return out
+
+
+@pytest.fixture(scope="session")
+def corpus_10k():
+    """The acceptance corpus: 10^4 seeded random drawings with sides up to
+    10, built once per session."""
+    rng = random.Random(20260815)
+    out = []
+    for _ in range(10_000):
+        na, nb = rng.randint(0, 10), rng.randint(0, 10)
+        p = rng.uniform(0.0, 1.0)
+        out.append(tl.random_drawing(na, nb, p, seed=rng.randrange(1 << 60))[1])
+    return out
+
+
+@pytest.fixture(scope="session")
+def decomposed_10k(corpus_10k):
+    return [(d,) + tl.decompose_drawing(d) for d in corpus_10k]
 
 
 @st.composite

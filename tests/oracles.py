@@ -4,8 +4,9 @@ Those that enumerate subsets or vertex orderings refuse inputs above a
 small cap with CapExceededError.  The rest are the library's former
 exact-pathwidth DP and bucket search, order-to-bags conversion,
 minimal-unachievable filter, (s,t) row scan (with and without its stop at
-the capped pair), unique-introduction staging, and the join-based SVG and
-pd.json writers, kept as references.
+the capped pair), unique-introduction staging, the join-based SVG and
+pd.json writers, and the set-based bag build and counting audit, kept as
+references.
 """
 
 import bisect
@@ -14,6 +15,7 @@ from itertools import combinations, permutations
 
 import twolayer as tl
 from twolayer import CapExceededError, CertificateError, DecompositionError, GraphError
+from twolayer.analysis import crossed_runs
 from twolayer.render import (
     BOX_GAP, BOX_WIDTH, LINE_HEIGHT, MARGIN, RAIL_A_Y, RAIL_B_Y, X_STEP,
 )
@@ -506,3 +508,95 @@ def join_render_decomposition(pd: tl.PathDecomposition) -> str:
 def dumps_decomposition_to_json(pd: tl.PathDecomposition) -> str:
     """tl.decomposition_to_json through json.dumps."""
     return json.dumps({"bags": [list(bag) for bag in pd.bags]}, indent=2)
+
+
+def set_build_bags(drawing: tl.TwoLayerDrawing, matching, gaps, cover):
+    """The construction's V_i sets and bag sequence built as sets, bag by
+    bag.  Returns (the matching's crossed_runs, v_sets indexed 0..n+1 with
+    empty sentinels, bags, tags)."""
+    n = len(matching)
+    k = len(cover.chains)
+    nplus = cover.closed_out_neighborhood
+    runs = crossed_runs(drawing, matching)
+    v_sets: list[set[str]] = [set() for _ in range(n + 2)]
+    for i, (x, y) in enumerate(matching, start=1):
+        v_sets[i] = set(nplus(x)) | set(nplus(y))
+        if len(v_sets[i]) > 2 * (k + 1):
+            raise CertificateError(f"closed neighborhoods around edge {i} too big")
+    for f, (_tail, head) in cover.arcs.items():
+        if f not in runs:
+            raise CertificateError(f"cover arc {f!r} is not an edge of the drawing")
+        lo, hi = runs[f]
+        for i in range(lo, hi + 1):
+            v_sets[i].add(head)
+    bags: list[tuple[str, ...]] = []
+    tags: list[tuple] = []
+    for i in range(n + 1):
+        if i >= 1:
+            bags.append(tuple(sorted(v_sets[i])))
+            tags.append(("Vi", i))
+        for j, v in enumerate(gaps[i], start=1):
+            bag = v_sets[i] | v_sets[i + 1] | set(nplus(v))
+            bags.append(tuple(sorted(bag)))
+            tags.append(("Vij", i, j))
+    return runs, v_sets, bags, tags
+
+
+def set_audit_counting_bounds(drawing: tl.TwoLayerDrawing, cert) -> tl.AuditReport:
+    """Counterpart of tl.audit_counting_bounds over set_build_bags: each P_i
+    is a set of heads, each |V_i| and |V_(i,j)| the size of a built set."""
+    n = len(cert.matching)
+    if n == 0:
+        return tl.AuditReport(cert.k, 0, cert.unachievable, (), vacuous=True)
+    k = cert.k
+    crossed, v_sets, bags, tags = set_build_bags(
+        drawing, cert.matching, cert.gaps, cert.cover
+    )
+    violations: list[tl.AuditViolation] = []
+
+    runs: list[tuple[str, int, int]] = []
+    for f, (_tail, head) in cert.cover.arcs.items():
+        lo, hi = crossed[f]
+        if lo <= hi:
+            runs.append((head, lo, hi))
+
+    gap_index = {v: i for i, ys in enumerate(cert.gaps) for v in ys}
+    yij: dict[tuple[int, int], set[str]] = {}
+    for f, (tail, head) in cert.cover.arcs.items():
+        i, j = gap_index.get(head), gap_index.get(tail)
+        if i is not None and j is not None:
+            yij.setdefault((i, j), set()).add(head)
+    for (i, j), members in sorted(yij.items()):
+        bound = 2 * k * k * abs(j - i)
+        if len(members) > bound:
+            violations.append(tl.AuditViolation("Yij", (i, j), len(members), bound))
+
+    for s, t in cert.unachievable:
+        p_bound = 4 * k * k * (t - 1)
+        v_bound = 2 * (k + 1) + p_bound + 2 * k * k * (s - 1) ** 2 * (s - 2)
+        for i in range(1, n + 1):
+            windows = []
+            if i - s + 1 >= 1:
+                windows.append((i - s + 1, i))
+            if i + s - 1 <= n:
+                windows.append((i, i + s - 1))
+            p_i = {
+                head
+                for head, lo, hi in runs
+                if any(lo <= a and hi >= b for a, b in windows)
+            }
+            if len(p_i) > p_bound:
+                violations.append(tl.AuditViolation("Pi", (i, s, t), len(p_i), p_bound))
+            if len(v_sets[i]) > v_bound:
+                violations.append(
+                    tl.AuditViolation("Vi", (i, s, t), len(v_sets[i]), v_bound)
+                )
+
+    for bag, tag in zip(bags, tags):
+        if tag[0] == "Vij":
+            i = tag[1]
+            bound = len(v_sets[i]) + len(v_sets[i + 1]) + (k + 1)
+            if len(bag) > bound:
+                violations.append(tl.AuditViolation("Vij", tag[1:], len(bag), bound))
+
+    return tl.AuditReport(k, n, cert.unachievable, tuple(violations), vacuous=False)

@@ -22,25 +22,6 @@ def _verdict(num, label, ok, detail=""):
     assert ok, f"acceptance {num} failed: {label}{suffix}"
 
 
-# ------------------------------------------------------------ shared corpus
-
-@pytest.fixture(scope="session")
-def corpus_10k():
-    """10^4 seeded random drawings with sides up to 10."""
-    rng = random.Random(20260815)
-    out = []
-    for _ in range(10_000):
-        na, nb = rng.randint(0, 10), rng.randint(0, 10)
-        p = rng.uniform(0.0, 1.0)
-        out.append(tl.random_drawing(na, nb, p, seed=rng.randrange(1 << 60))[1])
-    return out
-
-
-@pytest.fixture(scope="session")
-def decomposed_10k(corpus_10k):
-    return [(d,) + tl.decompose_drawing(d) for d in corpus_10k]
-
-
 # ---------------------------------------------------------------- criteria
 
 def test_acceptance_01_caterpillar_equivalence():

@@ -7,12 +7,13 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import twolayer as tl
 from twolayer import BipartiteGraph, GraphError, TwoLayerDrawing
 
-from conftest import random_corpus
-from oracles import naive_minimal_unachievable
+from conftest import drawings, random_corpus
+from oracles import naive_minimal_unachievable, set_audit_counting_bounds, set_build_bags
 
 
 # ------------------------------------------------------------ width bound
@@ -211,6 +212,59 @@ def test_audit_random_sweep_clean():
         assert rep.ok, [v for v in rep.violations]
 
 
+# ------------------------------------------- interval form vs set-based build
+
+def _agrees_with_set_based_build(d, pd, cert):
+    """The interval-backed construction against the set-based one: bags,
+    tags, rebuilt bags, audit, validation in both forms and width."""
+    _, _, bags, tags = set_build_bags(d, cert.matching, cert.gaps, cert.cover)
+    assert not bags or pd.width == max(map(len, bags)) - 1
+    assert tl.validate_decomposition(d.graph, pd) == ()
+    assert pd.bags == tuple(bags) and cert.per_bag == tuple(tags)
+    assert tl.validate_decomposition(d.graph, tl.PathDecomposition(bags)) == ()
+    assert tl.certificate_bags(d, cert) == pd.bags
+    assert tl.audit_counting_bounds(d, cert) == set_audit_counting_bounds(d, cert)
+
+
+@given(drawings(max_side=8))
+@settings(max_examples=300, deadline=None)
+def test_interval_construction_equals_set_based_build(d):
+    pd, cert = tl.decompose_drawing(d)
+    assert "bags" not in vars(pd)
+    _agrees_with_set_based_build(d, pd, cert)
+
+
+def test_interval_construction_equals_set_based_build_on_the_corpus(decomposed_10k):
+    for d, pd, cert in decomposed_10k:
+        _agrees_with_set_based_build(d, pd, cert)
+
+
+def test_audit_equals_set_based_audit_past_the_cap():
+    """complete_binary_tree(9)'s default certificate lists cap points that
+    the drawing achieves (334 violations), and a wide drawing audited at
+    points picked to fail exercises |P_i| over long runs."""
+    _, d = tl.complete_binary_tree(9)
+    _, cert = tl.decompose_drawing(d)
+    report = tl.audit_counting_bounds(d, cert)
+    assert len(report.violations) == 334
+    assert report == set_audit_counting_bounds(d, cert)
+    _, d = tl.random_drawing(120, 120, 0.04, 2)
+    _, cert = tl.decompose_drawing(d)
+    cert = _certificate_with(cert, unachievable=((1, 2), (2, 1), (3, 3), (5, 1), (1, 7)))
+    report = tl.audit_counting_bounds(d, cert)
+    assert {v.check for v in report.violations} >= {"Pi", "Vi"}
+    assert report == set_audit_counting_bounds(d, cert)
+
+
+def test_decompose_builds_no_bags_until_read():
+    _, d = tl.complete_binary_tree(4)
+    pd, cert = tl.decompose_drawing(d)
+    assert pd.width == 11 and tl.validate_decomposition(d.graph, pd) == ()
+    assert tl.audit_counting_bounds(d, cert).ok
+    assert "bags" not in vars(pd)
+    assert pd.bags == tl.certificate_bags(d, cert) and "bags" in vars(pd)
+
+
 # ------------------------------------------------------------------- JSON
 
 def test_certificate_json_shape():
@@ -230,24 +284,25 @@ def test_certificate_json_shape():
 # ------------------------------------------------------- certified output
 
 def test_invalid_construction_raises_certificate_error(monkeypatch, tmp_path, capsys):
-    """The validity check on every emitted decomposition is a raise, not an
-    assert, so it also runs under `python -O` and maps to CLI exit 1."""
+    """The span builder's contiguity check is a raise, not an assert, so it
+    also runs under `python -O` and maps to CLI exit 1.  Moving the crossed
+    run of an arc into the root to the last matching edge punches a hole in
+    the root's bags: it stays in bags 1-2 and joins bags 8-10."""
     from twolayer import decompose
     from twolayer.cli import main
 
-    real = decompose._build_bags
-
-    def drop_from_middle_bag(*args):
-        runs, sets, bags, tags = real(*args)
-        bags = list(bags)
-        v = next(v for v in bags[1] if v in bags[0] and v in bags[2])
-        bags[1] = tuple(u for u in bags[1] if u != v)
-        return runs, sets, bags, tags
-
-    monkeypatch.setattr(decompose, "_build_bags", drop_from_middle_bag)
     drawing = tl.complete_binary_tree(3)[1]
-    with pytest.raises(tl.CertificateError, match="invalid decomposition"):
+    pd, cert = tl.decompose_drawing(drawing)
+    assert pd._intervals[0]["r"] == (1, 2) and len(pd.bags) == 10
+    n = len(cert.matching)
+    f = next(f for f, (_, head) in cert.cover.arcs.items() if head == "r")
+    real = decompose.crossed_runs
+    monkeypatch.setattr(decompose, "crossed_runs", lambda *args: {**real(*args), f: (n, n)})
+    hole = "invalid decomposition: vertex 'r' is in bags 1 and 10 but not 3"
+    with pytest.raises(tl.CertificateError, match=hole):
         tl.decompose_drawing(drawing)
+    with pytest.raises(tl.CertificateError, match=hole):
+        tl.certificate_bags(drawing, cert)
 
     path = tmp_path / "tree3.json"
     path.write_text(tl.drawing_to_json(drawing))
@@ -297,13 +352,13 @@ def test_certificate_bags_rejects_mismatched_tags(monkeypatch):
 
     _, d = tl.complete_binary_tree(3)
     _, cert = tl.decompose_drawing(d)
-    real = decompose._build_bags
+    real = decompose._spans
 
     def drop_last_tag(*args):
-        runs, sets, bags, tags = real(*args)
-        return runs, sets, bags, tags[:-1]
+        runs, at, pd, tags = real(*args)
+        return runs, at, pd, tags[:-1]
 
-    monkeypatch.setattr(decompose, "_build_bags", drop_last_tag)
+    monkeypatch.setattr(decompose, "_spans", drop_last_tag)
     with pytest.raises(tl.CertificateError, match="per-bag tags"):
         tl.certificate_bags(d, cert)
 
@@ -341,6 +396,20 @@ def test_certificate_with_crossing_matching_raises():
         tl.audit_counting_bounds(d, bad)
     with pytest.raises(tl.CertificateError, match="not an edge"):
         tl.certificate_bags(d, bad)
+
+
+def test_cover_arc_that_does_not_orient_its_edge_raises():
+    """The span builder gives an arc's head the block of its tail, so an arc
+    must join the two ends of the edge it is keyed by."""
+    _, d = tl.complete_binary_tree(3)
+    _, cert = tl.decompose_drawing(d)
+    f, (tail, _) = next(iter(cert.cover.arcs.items()))
+    other = next(v for v in d.graph.vertices if v not in f)
+    cover = tl.ChainCover(cert.cover.chains, {**cert.cover.arcs, f: (tail, other)})
+    bad = _certificate_with(cert, cover=cover)
+    for check in (tl.certificate_bags, tl.audit_counting_bounds):
+        with pytest.raises(tl.CertificateError, match="not an edge"):
+            check(d, bad)
 
 
 _PACKAGE_DIR = pathlib.Path(tl.__file__).parent

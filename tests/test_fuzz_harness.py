@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from twolayer import (
     fuzz,
 )
 
-from conftest import drawings, record_interval_passes
+from conftest import drawings
 
 
 def test_config_validation():
@@ -110,15 +111,17 @@ def test_layout_check_fails_on_a_wrong_placement(monkeypatch):
 
 def test_layout_check_places_by_the_vertex_order(monkeypatch):
     """The layout check also compares the placement map with the vertex
-    order's positions, which do not come from the decomposition's interval
-    pass.  With every interval moved one bag later, validation still passes
-    and the staged comparison agrees with the moved placement, so only the
-    order comparison fails."""
+    order's positions, which do not come from the decomposition's intervals.
+    With every interval the order builds moved one bag later, validation
+    still passes and the staged comparison agrees with the moved placement,
+    so only the order comparison fails."""
 
-    def moved(span, broken):
-        return {v: (lo + 1, hi + 1) for v, (lo, hi) in span.items()}, broken
+    real = tl.PathDecomposition._from_intervals
 
-    record_interval_passes(monkeypatch, alter=moved)
+    def moved(span, count):
+        return real({v: (lo + 1, hi + 1) for v, (lo, hi) in span.items()}, count + 1)
+
+    monkeypatch.setattr(tl.PathDecomposition, "_from_intervals", staticmethod(moved))
     rep = tl.run_fuzz(FuzzConfig(trials=20, seed=7, checks=("layout",)))
     stats = rep.stats["layout"]
     assert stats.run > 0 and stats.failed == stats.run
@@ -272,16 +275,21 @@ def test_invalid_construction_fails_the_decompose_check(monkeypatch):
     """decompose_drawing validates what it returns, so a construction that
     loses a bag fails the decompose check as a raised CertificateError, and
     the dump replays."""
-    real = decompose._build_bags
+    real = decompose._spans
     invalid = []  # per trial: is the construction without its last bag invalid
 
     def drop_last_bag(drawing, *args):
-        runs, v_sets, bags, tags = real(drawing, *args)
-        pd = tl.PathDecomposition(tuple(bags[:-1]))
-        invalid.append(bool(tl.validate_decomposition(drawing.graph, pd)))
-        return runs, v_sets, bags[:-1], tags
+        runs, at, pd, tags = real(drawing, *args)
+        bags = pd.bags[:-1]
+        invalid.append(bool(tl.validate_decomposition(drawing.graph, tl.PathDecomposition(bags))))
+        span = {
+            v: (lo, min(hi, len(bags)))
+            for v, (lo, hi) in pd._intervals[0].items()
+            if lo <= len(bags)
+        }
+        return runs, at, tl.PathDecomposition._from_intervals(span, len(bags)), tags
 
-    monkeypatch.setattr(decompose, "_build_bags", drop_last_bag)
+    monkeypatch.setattr(decompose, "_spans", drop_last_bag)
     config = FuzzConfig(trials=30, seed=7, checks=("decompose",))
     rep = tl.run_fuzz(config)
     assert [d.trial for d in rep.failures] == [t for t, bad in enumerate(invalid) if bad]
@@ -291,3 +299,30 @@ def test_invalid_construction_fails_the_decompose_check(monkeypatch):
             "raised CertificateError: construction produced an invalid decomposition: "
         )
         assert tl.replay_failure(dump, config) == dump
+
+
+def test_fuzz_checks_build_no_bags(monkeypatch):
+    """Every check reads widths, bag counts and bag intervals; none builds
+    the bags of a decomposition that the builders gave as intervals."""
+    real = tl.PathDecomposition.__dict__["bags"].func
+    built = []
+    prop = cached_property(lambda pd: built.append(pd) or real(pd))
+    prop.__set_name__(tl.PathDecomposition, "bags")
+    monkeypatch.setattr(tl.PathDecomposition, "bags", prop)
+    rep = tl.run_fuzz(FuzzConfig(trials=40, seed=3))
+    assert rep.ok and all(s.run for s in rep.stats.values())
+    assert built == []
+    g = tl.grid_graph(2)[0]
+    assert tl.order_to_decomposition(g, g.vertices).bags and len(built) == 1
+
+
+def test_counting_check_skips_an_edgeless_trial_before_dropping_vertices(monkeypatch):
+    """Dropping isolated A-vertices removes no edge, so an edgeless trial is
+    skipped before any sub-drawing is built."""
+    real = fuzz.drop_isolated_a
+    dropped = []
+    monkeypatch.setattr(fuzz, "drop_isolated_a", lambda d: dropped.append(d) or real(d))
+    config = FuzzConfig(trials=60, seed=5, na_max=6, nb_max=6, checks=("counting",))
+    stats = tl.run_fuzz(config).stats["counting"]
+    assert stats.skipped > 0 and stats.run > 0
+    assert len(dropped) == stats.run and all(d.graph.edges for d in dropped)

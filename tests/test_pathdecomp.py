@@ -7,6 +7,7 @@ import tracemalloc
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twolayer as tl
 from twolayer import (
@@ -45,6 +46,21 @@ def test_bags_are_sorted_and_deduped():
     pd = PathDecomposition((("u", "u", "v", "w", "w"), ()))
     assert pd.bags == (("u", "v", "w"), ())
     assert PathDecomposition(pd.bags) == pd
+
+
+def test_strictly_ascending_bags_are_kept_as_given():
+    """A bag that is already strictly ascending is neither sorted nor
+    copied; ids that do not compare raise what sorted raises."""
+    bag = ("a0", "b1", "b2")
+    pd = PathDecomposition([bag, ["b2", "a0"], ("u", "u"), iter(("w", "v"))])
+    assert pd.bags[0] is bag
+    assert pd.bags[1:] == (("a0", "b2"), ("u",), ("v", "w"))
+    for ids in (("a", 1), (1, "a"), ("b", "a", 1), ("a", "b", None)):
+        with pytest.raises(TypeError) as want:
+            sorted(ids)
+        with pytest.raises(TypeError) as got:
+            PathDecomposition([ids])
+        assert str(got.value) == str(want.value)
 
 
 def test_width_of_empty_decomposition_is_error():
@@ -174,6 +190,41 @@ def test_validate_foreign_vertex_matches_naive_oracle():
         with pytest.raises(DecompositionError, match="foreign") as got:
             tl.validate_decomposition(g, pd)
         assert str(got.value) == str(want.value)
+
+
+def _outcome(validate, g, pd):
+    try:
+        return validate(g, pd)
+    except DecompositionError as exc:
+        return str(exc)
+
+
+@given(graphs(max_side=5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_interval_form_reads_as_its_bags(g, data):
+    """A decomposition given as intervals validates, measures and stages as
+    its bags given as bags do: the same violations or foreign-vertex error,
+    width, interval map in the same order and staged decomposition.  None of
+    these builds its bags."""
+    count = data.draw(st.integers(0, 6))
+    span = {}
+    for v in (*g.vertices, "x0"):
+        if count and data.draw(st.booleans()):
+            lo = data.draw(st.integers(1, count))
+            span[v] = (lo, data.draw(st.integers(lo, count)))
+    span = dict(sorted(span.items(), key=lambda item: (item[1][0], item[0])))
+    pd = PathDecomposition._from_intervals(span, count)
+    got = _outcome(tl.validate_decomposition, g, pd)
+    width = pd.width if count else None
+    staged = tl.normalize_unique_intro(pd) if span else None
+    assert "bags" not in vars(pd)
+    as_bags = PathDecomposition(pd.bags)
+    assert as_bags == pd and len(pd.bags) == count
+    assert got == _outcome(tl.validate_decomposition, g, as_bags)
+    assert got == _outcome(naive_validate, g, as_bags)
+    assert width == (as_bags.width if count else None)
+    assert list(tl.intro_intervals(pd).items()) == list(tl.intro_intervals(as_bags).items())
+    assert staged == (naive_normalize_unique_intro(as_bags) if span else None)
 
 
 def test_intro_intervals():
@@ -504,6 +555,47 @@ def test_order_to_decomposition_matches_rescanning_oracle():
         assert tl.order_to_decomposition(g, order) == naive_order_to_decomposition(
             g, order
         ), (g, order)
+
+
+@given(graphs(max_side=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_order_to_decomposition_builds_intervals(g, data):
+    """The order's decomposition is given by its intervals: its width and
+    validation read them, and its bags, built on first read, are those of
+    the rescanning oracle."""
+    order = data.draw(st.permutations(g.vertices))
+    pd = tl.order_to_decomposition(g, order)
+    width = pd.width if order else None
+    assert tl.validate_decomposition(g, pd) == ()
+    assert "bags" not in vars(pd)
+    want = naive_order_to_decomposition(g, order)
+    assert pd.bags == want.bags and width == (want.width if order else None)
+
+
+def _cost_levels(nbr):
+    """R_w = {S : f(S) <= w} for w up to f(V), from the subset recurrence
+    f(S) = min over i in S of max(f(S - i), boundary(S)), f({}) = 0."""
+    n = len(nbr)
+    full = (1 << n) - 1
+    f = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        b = sum(1 for i in range(n) if s >> i & 1 and nbr[i] & (full ^ s))
+        f[s] = min(max(f[s ^ (1 << i)], b) for i in range(n) if s >> i & 1)
+    return [sum(1 << s for s in range(1 << n) if f[s] <= w) for w in range(f[full] + 1)]
+
+
+def test_reached_families_are_the_cost_levels():
+    """Each family R_w the bit-parallel search builds is {S : f(S) <= w} of
+    the subset recurrence."""
+    from twolayer import pathdecomp
+
+    rng = random.Random(23)
+    for _ in range(60):
+        g, _ = tl.random_drawing(rng.randint(1, 5), rng.randint(1, 5), rng.random(), rng.randrange(1 << 30))
+        live = [v for v in g.vertices if g.neighbors[v]]
+        index = {v: i for i, v in enumerate(live)}
+        nbr = [sum(1 << index[w] for w in g.neighbors[v]) for v in live]
+        assert pathdecomp._reached_families(nbr) == _cost_levels(nbr), g
 
 
 def test_order_to_decomposition_requires_permutation():
