@@ -18,12 +18,6 @@ from .errors import CapExceededError, CertificateError, GraphError
 from .graphs import DEFAULT_PROFILE_CAP, DEFAULT_ST_EDGE_CAP, Edge, TwoLayerDrawing, _Frozen
 
 
-def _coords_sorted(drawing: TwoLayerDrawing) -> list[tuple[int, int, Edge]]:
-    # (posA, posB) is injective on edges, so this order is unambiguous.
-    pa, pb = drawing.pos_a, drawing.pos_b
-    return sorted((pa[u], pb[v], (u, v)) for u, v in drawing.graph.edges)
-
-
 def _coord_of(drawing: TwoLayerDrawing, e: Edge) -> tuple[int, int]:
     u, v = e
     if (u, v) not in drawing.graph.edge_set:
@@ -49,7 +43,7 @@ def crossings_per_edge(drawing: TwoLayerDrawing) -> dict[Edge, int]:
     """Number of edges crossing each edge; values sum to twice the pair count.
     In (posA, posB) order, an edge is crossed by exactly the earlier edges
     with a higher posB and the later edges with a lower one."""
-    coords = _coords_sorted(drawing)
+    coords = drawing._by_rank
     all_b = sorted(pb for _, pb, _ in coords)
     seen: list[int] = []  # posB of the earlier edges, sorted
     counts: dict[Edge, int] = {}
@@ -151,7 +145,7 @@ def max_crossing_set(drawing: TwoLayerDrawing) -> tuple[int, CrossingWitness]:
     keeps edges that share an A-endpoint (equal posA) out of any strictly
     decreasing run.
     """
-    coords = _coords_sorted(drawing)
+    coords = drawing._by_rank
     k, idx = _lis_strict([-pb for _, pb, _ in coords])
     witness = CrossingWitness("k", edges=tuple(coords[i][2] for i in idx))
     return k, witness
@@ -197,7 +191,7 @@ def min_chain_cover(drawing: TwoLayerDrawing) -> ChainCover:
     """
     piles: list[list[Edge]] = []
     tops: list[int] = []
-    for pa, pb, e in _coords_sorted(drawing):
+    for pa, pb, e in drawing._by_rank:
         c = bisect.bisect_right(tops, pb) - 1
         if c < 0:
             piles.insert(0, [e])
@@ -263,7 +257,7 @@ def maximal_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
     accepted: list[Edge] = []
     used: set[str] = set()
     last_pb = 0
-    for pa, pb, e in _coords_sorted(drawing):
+    for pa, pb, e in drawing._by_rank:
         if e[0] in used or e[1] in used:
             continue
         if accepted and pb <= last_pb:
@@ -318,7 +312,7 @@ def maximum_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
     sort by (posA asc, posB desc) and take a strict LIS of posB.  The
     descending tie order blocks picking two edges off one A-vertex.
     """
-    return _rising_chain(_coords_sorted(drawing))
+    return _rising_chain(drawing._by_rank)
 
 
 def _rising_chain(items: Iterable[tuple[int, int, Edge]]) -> tuple[Edge, ...]:
@@ -471,7 +465,7 @@ def _st_witness(
     """S and T from the two quadrants of a split; S comes from the quadrant
     posA <= p, posB > q unless the split is swapped."""
     p, q, swapped = split
-    coords = _coords_sorted(drawing)
+    coords = drawing._by_rank
     upper = _rising_chain(c for c in coords if c[0] <= p and c[1] > q)
     lower = _rising_chain(c for c in coords if c[0] > p and c[1] <= q)
     s_side, t_side = (lower, upper) if swapped else (upper, lower)

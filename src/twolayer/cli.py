@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import stat
 import sys
@@ -33,6 +32,7 @@ from .graphs import (
     BipartiteGraph,
     TwoLayerDrawing,
     _drawing_from_object,
+    _dumps,
     _load_object,
     drawing_from_json,
     drawing_to_json,
@@ -165,7 +165,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     drawing = drawing_from_json(_read(args.infile))
     report = analysis_report(drawing, st_cap=args.cap_st, edge_cap=args.cap_edges)
-    _write(args.out, json.dumps(report, indent=2))
+    _write(args.out, _dumps(report))
     return 0
 
 
@@ -205,10 +205,10 @@ def _cmd_pathwidth(args: argparse.Namespace) -> int:
     pd = order_to_decomposition(graph, order)
     payload = {
         "pathwidth": pw,
-        "order": list(order),
-        "bags": [list(bag) for bag in pd.bags],
+        "order": order,
+        "bags": pd.bags,
     }
-    _write(args.out, json.dumps(payload, indent=2))
+    _write(args.out, _dumps(payload))
     return 0
 
 
@@ -225,14 +225,14 @@ def _cmd_check_pd(args: argparse.Namespace) -> int:
             {
                 "kind": v.kind,
                 "vertex": v.vertex,
-                "edge": list(v.edge) if v.edge else None,
-                "indices": list(v.indices),
+                "edge": v.edge,
+                "indices": v.indices,
                 "detail": v.describe(),
             }
             for v in violations
         ],
     }
-    _write(args.out, json.dumps(payload, indent=2))
+    _write(args.out, _dumps(payload))
     return 0 if not violations else 1
 
 

@@ -13,7 +13,6 @@ drawing avoids.
 
 from __future__ import annotations
 
-import json
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -28,7 +27,7 @@ from .analysis import (
     st_profile,
 )
 from .errors import CertificateError, GraphError
-from .graphs import Edge, TwoLayerDrawing, _Frozen
+from .graphs import Edge, TwoLayerDrawing, _dumps, _Frozen
 from .pathdecomp import PathDecomposition, Violation, validate_decomposition
 
 BagTag = tuple  # ("Vi", i) or ("Vij", i, j), all indices 1-based except gap 0
@@ -317,18 +316,16 @@ def audit_counting_bounds(
 def certificate_to_json(cert: DecompositionCertificate) -> str:
     payload = {
         "k": cert.k,
-        "matching": [list(e) for e in cert.matching],
-        "gaps": [list(ys) for ys in cert.gaps],
-        "chains": [[list(e) for e in chain] for chain in cert.cover.chains],
-        "arcs": [
-            [list(e), tail, head] for e, (tail, head) in cert.cover.arcs.items()
-        ],
-        "perBag": [list(tag) for tag in cert.per_bag],
-        "stFrontier": [[s, t] for s, t in cert.frontier],
-        "unachievable": [[s, t] for s, t in cert.unachievable],
+        "matching": cert.matching,
+        "gaps": cert.gaps,
+        "chains": cert.cover.chains,
+        "arcs": [(e, tail, head) for e, (tail, head) in cert.cover.arcs.items()],
+        "perBag": cert.per_bag,
+        "stFrontier": cert.frontier,
+        "unachievable": cert.unachievable,
         "frontierExact": cert.frontier_exact,
         "widthBound": cert.width_bound,
         "sCap": cert.st_cap,
         "tCap": cert.st_cap,
     }
-    return json.dumps(payload, indent=2)
+    return _dumps(payload)

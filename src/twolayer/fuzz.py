@@ -27,6 +27,7 @@ from .errors import GraphError
 from .graphs import (
     BipartiteGraph,
     TwoLayerDrawing,
+    _dumps,
     _Frozen,
     drawing_from_json,
     drawing_to_json,
@@ -325,4 +326,4 @@ def report_to_json(report: FuzzReport) -> str:
             for d in report.failures
         ],
     }
-    return json.dumps(payload, indent=2)
+    return _dumps(payload)

@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 import random
 from functools import cached_property
-from itertools import chain, repeat
-from typing import Iterable, TextIO
+from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Sequence, TextIO
 
 from .errors import CapExceededError, GraphError
 
@@ -193,6 +194,13 @@ class TwoLayerDrawing(_Frozen):
     def pos_b(self) -> dict[str, int]:
         return {v: i + 1 for i, v in enumerate(self.order_b)}
 
+    @cached_property
+    def _by_rank(self) -> tuple[tuple[int, int, Edge], ...]:
+        """(posA, posB, edge) for every edge, sorted; (posA, posB) is
+        injective on edges, so this order is unambiguous."""
+        pa, pb = self.pos_a, self.pos_b
+        return tuple(sorted((pa[u], pb[v], (u, v)) for u, v in self.graph.edges))
+
 
 # ===================================================================
 # random drawings
@@ -235,12 +243,7 @@ def random_drawing(
 # ===================================================================
 
 def graph_to_json(graph: BipartiteGraph) -> str:
-    payload = {
-        "a": list(graph.a),
-        "b": list(graph.b),
-        "edges": [list(e) for e in graph.edges],
-    }
-    return json.dumps(payload, indent=2)
+    return _dumps({"a": graph.a, "b": graph.b, "edges": graph.edges})
 
 
 def graph_from_json(text: str) -> BipartiteGraph:
@@ -257,14 +260,16 @@ def graph_from_json(text: str) -> BipartiteGraph:
 
 
 def drawing_to_json(drawing: TwoLayerDrawing) -> str:
-    payload = {
-        "a": list(drawing.graph.a),
-        "b": list(drawing.graph.b),
-        "edges": [list(e) for e in drawing.graph.edges],
-        "orderA": list(drawing.order_a),
-        "orderB": list(drawing.order_b),
-    }
-    return json.dumps(payload, indent=2)
+    graph = drawing.graph
+    return _dumps(
+        {
+            "a": graph.a,
+            "b": graph.b,
+            "edges": graph.edges,
+            "orderA": drawing.order_a,
+            "orderB": drawing.order_b,
+        }
+    )
 
 
 def drawing_from_json(text: str) -> TwoLayerDrawing:
@@ -294,6 +299,105 @@ def _join_or_write(chunks: Iterable[str], out: TextIO | None) -> str | None:
         return "".join(chunks)
     out.writelines(chunks)
     return None
+
+
+class _NotPlain(Exception):
+    """A value that ``_dumps`` leaves to ``json.dumps``."""
+
+
+def _dumps(obj: object) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for the package's JSON
+    outputs.  Strings are quoted by the function ``json.dumps`` itself uses,
+    and a list of strings, of ints or of short rows is formatted by C-level
+    maps, so no Python frame runs per element.  A float, any other object or
+    a non-str key hands the whole document to ``json.dumps``, errors and
+    all."""
+    try:
+        return _text(obj, 0)
+    except (_NotPlain, RecursionError):
+        return json.dumps(obj, indent=2)
+
+
+class _Indents(dict):
+    """Level -> the line break before an item at ``level + 1``, the
+    separator between such items, and the line break before the closing
+    bracket at ``level``."""
+
+    def __missing__(self, level: int) -> tuple[str, str, str]:
+        inner = "\n" + "  " * (level + 1)
+        self[level] = breaks = (inner, "," + inner, "\n" + "  " * level)
+        return breaks
+
+
+_INDENTS = _Indents()
+
+
+def _block(opening: str, texts: Iterable[str], closing: str, level: int) -> str:
+    """The texts of one list's items (or one dict's ``key: value`` items) at
+    indent ``level + 1``, between ``opening`` and ``closing`` at ``level``;
+    only the two if there are none."""
+    inner, sep, outer = _INDENTS[level]
+    body = sep.join(texts)
+    if not body:
+        return opening + closing
+    return f"{opening}{inner}{body}{outer}{closing}"
+
+
+def _text(value: object, level: int) -> str:
+    # json's encoder tests in this order: str, None, True, False, int.
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return _block("[", _texts(value, level + 1), "]", level)
+    if isinstance(value, dict):
+        if not all(map(isinstance, value, repeat(str))):
+            raise _NotPlain
+        items = map(
+            "{}: {}".format,
+            map(encode_basestring_ascii, value),
+            _texts(list(value.values()), level + 1),
+        )
+        return _block("{", items, "}", level)
+    raise _NotPlain
+
+
+def _texts(values: Sequence, level: int) -> Iterable[str]:
+    """The texts of ``values``, each at indent ``level``."""
+    types = set(map(type, values))
+    if len(types) == 1:
+        (kind,) = types
+        if issubclass(kind, str):
+            return map(encode_basestring_ascii, values)
+        if issubclass(kind, int) and kind is not bool:
+            return map(int.__repr__, values)
+        if issubclass(kind, (list, tuple)):
+            sizes = list(map(len, values))
+            lengths = set(sizes)
+            # Column by column only when the rows outnumber the columns.
+            if len(lengths) * max(lengths) <= len(values):
+                return _rows(values, sizes, lengths, level)
+    return [_text(v, level) for v in values]
+
+
+def _rows(rows: Sequence, sizes: list[int], lengths: set[int], level: int) -> Iterable[str]:
+    """The texts of ``rows`` at indent ``level``.  The rows of each length
+    are formatted column by column, by a ``_block`` template whose fields
+    take the column texts as arguments, and read back in the rows' order."""
+    by_length = {}
+    for n in lengths:
+        group = rows if len(lengths) == 1 else list(compress(rows, map(n.__eq__, sizes)))
+        columns = [_texts(column, level + 1) for column in zip(*group)]
+        template = _block("[", repeat("{}", n), "]", level)
+        by_length[n] = map(template.format, *columns) if n else repeat(template)
+    return map(next, map(by_length.__getitem__, sizes))
 
 
 def _load_object(text: str) -> dict:

@@ -10,7 +10,6 @@ Both claims are verified on the produced drawing, never assumed.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .analysis import (
@@ -20,7 +19,7 @@ from .analysis import (
     st_crossing_exists,
 )
 from .errors import CertificateError, DecompositionError, GraphError
-from .graphs import BipartiteGraph, TwoLayerDrawing, _Frozen
+from .graphs import BipartiteGraph, TwoLayerDrawing, _dumps, _Frozen
 from .pathdecomp import (
     PathDecomposition,
     _staged_bags,
@@ -164,4 +163,4 @@ def layout_certificate_to_json(cert: LayoutCertificate) -> str:
         "stOk": cert.st_ok,
         "edgeCap": cert.edge_cap,
     }
-    return json.dumps(payload, indent=2)
+    return _dumps(payload)

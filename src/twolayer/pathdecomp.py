@@ -20,7 +20,14 @@ from operator import eq, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
-from .graphs import DEFAULT_PATHWIDTH_CAP, BipartiteGraph, Edge, _Frozen, _join_or_write
+from .graphs import (
+    DEFAULT_PATHWIDTH_CAP,
+    BipartiteGraph,
+    Edge,
+    _block,
+    _Frozen,
+    _join_or_write,
+)
 
 
 class PathDecomposition(_Frozen):
@@ -56,21 +63,23 @@ class PathDecomposition(_Frozen):
 
     @cached_property
     def bags(self) -> tuple[tuple[str, ...], ...]:
-        # Only for given intervals: sweep them, keeping the ids held sorted.
+        return tuple(self._sweep())
+
+    def _sweep(self) -> Iterator[tuple[str, ...]]:
+        """The bags of given intervals, one at a time, from a sweep that
+        keeps the ids held sorted."""
         enter: list[list[str]] = [[] for _ in range(self._count + 2)]
         leave: list[list[str]] = [[] for _ in range(self._count + 2)]
         for v, (lo, hi) in self._intervals[0].items():
             enter[lo].append(v)
             leave[hi + 1].append(v)
         held: list[str] = []
-        out = []
         for i in range(1, self._count + 1):
             for v in leave[i]:
                 held.remove(v)
             held += enter[i]
             held.sort()
-            out.append(tuple(held))
-        return tuple(out)
+            yield tuple(held)
 
     @cached_property
     def _sizes(self) -> list[int]:
@@ -388,7 +397,8 @@ def _staged_bags(pd: PathDecomposition, first: dict[str, int]) -> PathDecomposit
 def decomposition_to_json(pd: PathDecomposition, out: TextIO | None = None) -> str | None:
     """``{"bags": [...]}`` indented by 2, byte for byte as ``json.dumps(...,
     indent=2)`` writes it.  Returns the text, or writes it to ``out`` one bag
-    at a time and returns None.
+    at a time and returns None.  Bags that have not been built are taken one
+    at a time from the interval sweep and stay unbuilt.
 
     Every id must be a str: another id raises TypeError before anything is
     written, where ``json.dumps`` would have written it as a number or a
@@ -399,19 +409,20 @@ def decomposition_to_json(pd: PathDecomposition, out: TextIO | None = None) -> s
 def _decomposition_json(pd: PathDecomposition) -> Iterator[str]:
     """The opening, one chunk per bag, the closing.  Each distinct id is
     quoted once, by the function ``json.dumps`` itself uses under
-    ``ensure_ascii``, and a bag's lines come from one join."""
-    if not pd.bags:
+    ``ensure_ascii``, and each bag's text is a list block of the indented
+    writer (``graphs._block``)."""
+    if not pd._count:
         yield '{\n  "bags": []\n}'
         return
-    quoted = {v: encode_basestring_ascii(v) for v in pd.vertices}
+    if "bags" in vars(pd):
+        ids, bags = pd.vertices, pd.bags
+    else:
+        ids, bags = pd._intervals[0], pd._sweep()
+    quoted = {v: encode_basestring_ascii(v) for v in ids}
     yield '{\n  "bags": [\n'
     sep = ""
-    for bag in pd.bags:
-        if bag:
-            items = ",\n      ".join(map(quoted.__getitem__, bag))
-            yield f"{sep}    [\n      {items}\n    ]"
-        else:
-            yield f"{sep}    []"
+    for bag in bags:
+        yield _block(f"{sep}    [", map(quoted.__getitem__, bag), "]", 2)
         sep = ",\n"
     yield "\n  ]\n}"
 

@@ -90,6 +90,26 @@ def test_crossings_per_edge_equals_pairwise_count():
         assert list(tl.crossings_per_edge(d).items()) == list(expected.items())
 
 
+def test_rank_sweeps_sort_each_drawing_once(monkeypatch):
+    """The sweeps share one cached (posA, posB, edge) order per drawing."""
+    prop = TwoLayerDrawing.__dict__["_by_rank"]
+    sorts = []
+    original = prop.func
+    monkeypatch.setattr(prop, "func", lambda d: sorts.append(d) or original(d))
+    _, d = tl.random_drawing(12, 12, 0.3, 5)
+    for sweep in (
+        tl.min_chain_cover,
+        tl.maximal_noncrossing_matching,
+        tl.max_crossing_set,
+        tl.maximum_noncrossing_matching,
+        tl.crossings_per_edge,
+    ):
+        sweep(d)
+    assert sorts == [d]
+    pa, pb = d.pos_a, d.pos_b
+    assert d._by_rank == tuple(sorted((pa[u], pb[v], (u, v)) for u, v in d.graph.edges))
+
+
 # ---------------------------------------------------- max pairwise-crossing
 
 def test_max_crossing_set_matches_brute_force():
@@ -276,32 +296,26 @@ def test_maximal_matching_cannot_be_extended():
             assert not _is_noncrossing_matching(d, m + (e,))
 
 
-def test_maximal_matching_raises_when_the_sweep_misses_an_edge(monkeypatch):
+def test_maximal_matching_raises_when_the_sweep_misses_an_edge():
     """The maximality check is a raise, not an assert, so it also runs under
-    `python -O`."""
-    from twolayer import analysis
-
+    `python -O`.  The sweep reads the drawing's cached rank order, so
+    overriding that cache drops an edge from it."""
     g = BipartiteGraph(("a1", "a2"), ("b1", "b2"), (("a1", "b1"), ("a2", "b2")))
     d = TwoLayerDrawing(g, ("a1", "a2"), ("b1", "b2"))
-    full = analysis._coords_sorted(d)
-    monkeypatch.setattr(analysis, "_coords_sorted", lambda _d: full[:1])
+    vars(d)["_by_rank"] = d._by_rank[:1]
     with pytest.raises(tl.CertificateError, match="sweep missed"):
         tl.maximal_noncrossing_matching(d)
 
 
-def test_maximal_matching_check_finds_a_missed_edge_in_any_gap(monkeypatch):
+def test_maximal_matching_check_finds_a_missed_edge_in_any_gap():
     """Dropping any one edge of a rising matching from the sweep leaves it
     addable in its gap, first, middle or last, and the check names it."""
-    from twolayer import analysis
-
     a, b = ("a1", "a2", "a3"), ("b1", "b2", "b3")
     g = BipartiteGraph(a, b, tuple(zip(a, b)))
     d = TwoLayerDrawing(g, a, b)
-    full = analysis._coords_sorted(d)
+    full = d._by_rank
     for i, (_, _, missed) in enumerate(full):
-        monkeypatch.setattr(
-            analysis, "_coords_sorted", lambda _d, i=i: full[:i] + full[i + 1:]
-        )
+        vars(d)["_by_rank"] = full[:i] + full[i + 1:]
         with pytest.raises(tl.CertificateError, match=re.escape(repr(missed))):
             tl.maximal_noncrossing_matching(d)
 
@@ -534,7 +548,7 @@ def ref_quadrant_tables(d):
 def ref_quadrant_chain(d, keep, size):
     from twolayer import analysis
 
-    items = [(x, y, e) for x, y, e in analysis._coords_sorted(d) if keep(x, y)]
+    items = [(x, y, e) for x, y, e in d._by_rank if keep(x, y)]
     items.sort(key=lambda c: (c[0], -c[1]))
     _, idx = analysis._lis_strict([c[1] for c in items])
     assert len(idx) >= size

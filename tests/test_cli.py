@@ -275,6 +275,45 @@ def test_wide_output_bytes_are_pinned(capsys, tmp_path):
     assert digests == WIDE_DIGESTS
 
 
+INDENTED_DIGESTS = {
+    "drawing.json": "b506e87ed9e13a5f62b2b676218a6a1f0c13f35d7e13f886a482913332abbcac",
+    "star.json": "97d59b4eb3a34ef901a38dad97c453a244b4fe9255f0ff9a92b8f3fae83030f7",
+    "analyze.json": "947ce8cc064d9945c5ba04241cd46908a81e05ef726b2835294b8e3b788b073d",
+    "fan-cert.json": "2e4ebdb176ff9c2b95f18de45a2c27cea10c3edc2234a4ed33ffeac58576ebba",
+    "check.json": "c5c0e1a21e11de31754cc4a70652eaf8e1c4cbbae27601aa05d042b364393243",
+}
+
+
+def test_indented_json_output_bytes_are_pinned(capsys, tmp_path):
+    """The drawing and graph JSON from `gen`, `analyze` on the 160x160
+    drawing, the 500-leg star fan's cert.json and a failing check-pd report
+    (violations with null fields) keep the bytes of ``json.dumps(...,
+    indent=2)``."""
+    path = {name: str(tmp_path / name) for name in (*INDENTED_DIGESTS, "fan.json", "pd.json", "g.json")}
+    (tmp_path / "g.json").write_text(
+        '{"a": ["a0", "a1"], "b": ["b0", "b1"], '
+        '"edges": [["a0", "b0"], ["a1", "b0"], ["a1", "b1"]]}'
+    )
+    (tmp_path / "pd.json").write_text('{"bags": [["a0", "b0"], ["b1"], ["a0"]]}')
+    for argv, code in (
+        (("gen", "random", "--na", "160", "--nb", "160", "--p", "0.032", "--seed", "3",
+          "--out", path["drawing.json"]), 0),
+        (("gen", "star", "--legs", "12", "--out", path["star.json"]), 0),
+        (("analyze", "--in", path["drawing.json"], "--out", path["analyze.json"]), 0),
+        (("gen", "star", "--legs", "500", "--fan", "--out", path["fan.json"]), 0),
+        (("decompose", "--in", path["fan.json"], "--out", os.devnull,
+          "--cert", path["fan-cert.json"]), 0),
+        (("check-pd", "--in", path["pd.json"], "--graph", path["g.json"],
+          "--out", path["check.json"]), 1),
+    ):
+        assert run(capsys, *argv)[0] == code
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in INDENTED_DIGESTS
+    }
+    assert digests == INDENTED_DIGESTS
+
+
 def test_failed_render_writes_no_output(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"bags": [["u", 1]]}')

@@ -445,3 +445,34 @@ def test_decompose_module_has_no_assert_statements(module):
         or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
     ]
     assert not dataclass_imports
+
+
+def _indented_json_calls(tree: ast.AST) -> list[tuple[int, str | None]]:
+    """(line, enclosing function) of each call of ``dumps``, ``dump`` or
+    ``JSONEncoder`` that passes ``indent``, by any name or attribute."""
+    found = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in {"dumps", "dump", "JSONEncoder"} and any(
+                    k.arg == "indent" for k in child.keywords
+                ):
+                    found.append((child.lineno, owner))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in _PACKAGE_DIR.glob("*.py")))
+def test_indented_json_goes_through_one_writer(module):
+    """Every indented JSON output goes through ``graphs._dumps``, whose
+    fallback is the one call of ``json.dumps`` with ``indent``: the pure
+    Python encoder that ``indent`` selects runs a generator frame per value."""
+    tree = ast.parse((_PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+    owners = [owner for _, owner in _indented_json_calls(tree)]
+    assert owners == (["_dumps"] if module == "graphs" else [])

@@ -1,11 +1,14 @@
 """Graph/drawing models, caterpillar recognition, generators, JSON."""
 
+import enum
 import itertools
 import json
+import re
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twolayer as tl
 from twolayer import (
@@ -14,6 +17,7 @@ from twolayer import (
     ConnectivityError,
     GraphError,
     TwoLayerDrawing,
+    graphs,
 )
 
 from conftest import caterpillar_graphs, crossing_pairs, drawings
@@ -326,3 +330,110 @@ def test_drawing_json_rejects_bad_orders():
 @settings(max_examples=40, deadline=None)
 def test_drawing_json_round_trip_property(d):
     assert tl.drawing_from_json(tl.drawing_to_json(d)) == d
+
+
+# ------------------------------------------------------- indented writer
+
+def _same_as_json_dumps(obj):
+    """``graphs._dumps(obj)`` gives ``json.dumps(obj, indent=2)``, or the
+    same error."""
+    try:
+        expected = json.dumps(obj, indent=2)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            graphs._dumps(obj)
+    else:
+        assert graphs._dumps(obj) == expected
+
+
+# Quotes, backslashes, control, non-ASCII and astral characters, and braces
+# that a format template would read.
+JSON_TEXT = st.one_of(
+    st.sampled_from(["", "{}", "{0}", "{0!r}", "}{", '"\\', "é", "😀", "\x00\x1f\n"]),
+    st.text(
+        st.one_of(
+            st.sampled_from('"\\{}'),
+            st.characters(max_codepoint=0x1F),
+            st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+            st.characters(min_codepoint=0x10000),
+            st.characters(),
+        ),
+        max_size=4,
+    ),
+)
+JSON_INTS = st.one_of(st.integers(-5, 5), st.integers(), st.sampled_from([2**64, -(2**80)]))
+JSON_SCALARS = st.one_of(
+    JSON_TEXT, JSON_INTS, st.booleans(), st.none(),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.5]),
+)
+# Rows as the certificates hold them: edges, ragged ("Vi", i) and ("Vij", i,
+# j) tags, arcs with a nested pair, and lists of up to 3 scalars.
+ROW_KINDS = (
+    st.tuples(JSON_TEXT, JSON_TEXT),
+    st.one_of(
+        st.tuples(st.just("Vi"), JSON_INTS),
+        st.tuples(st.just("Vij"), JSON_INTS, st.one_of(JSON_INTS, st.booleans())),
+    ),
+    st.tuples(st.tuples(JSON_TEXT, JSON_TEXT), JSON_TEXT, st.one_of(JSON_TEXT, JSON_INTS)),
+    st.lists(st.one_of(JSON_TEXT, JSON_INTS, st.booleans(), st.none()), max_size=3),
+)
+JSON_ROWS = st.one_of(
+    *(st.lists(kind, max_size=8) for kind in ROW_KINDS),
+    st.lists(st.one_of(*ROW_KINDS), max_size=8),
+)
+JSON_KEYS = st.one_of(JSON_TEXT, JSON_INTS, st.booleans(), st.none(), st.floats(), st.tuples())
+JSON_TREES = st.recursive(
+    st.one_of(JSON_SCALARS, JSON_ROWS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=5),
+        st.dictionaries(JSON_KEYS, inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_TREES)
+@settings(max_examples=200, deadline=None)
+def test_indented_writer_is_json_dumps(obj):
+    _same_as_json_dumps(obj)
+
+
+class _Rank(enum.IntEnum):
+    """An int subclass whose repr is not its number."""
+
+    FIRST = 1
+    SECOND = 2
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [], (), {}, [[]], [(), ()], {"k": {}}, [[], [1]],
+        [["Vi", 1], ["Vij", 1, 2], ["Vi", 2], ["Vij", 2, 1]],
+        [[("u", "v"), "t", "h"]] * 4,
+        [[1, True], [2, False], [None, 3]] * 2,
+        [["{0}", "{}"], ["{1}", "}{"]] * 3,
+        [True, 1, False, 0],
+        [_Rank.FIRST, _Rank.SECOND, 3],
+        {"rank": _Rank.SECOND, "rows": [[_Rank.FIRST, "a"], [_Rank.SECOND, "b"]]},
+        {"x": [1.5, 2]},
+        {1: "one", None: "null"},
+        {("a",): 1},
+        [object()],
+        "é😀",
+        -(2**100),
+        None,
+    ],
+    ids=repr,
+)
+def test_indented_writer_is_json_dumps_on_edge_cases(obj):
+    _same_as_json_dumps(obj)
+
+
+def test_indented_writer_leaves_a_cycle_to_json():
+    cycle: list = []
+    cycle.append([cycle, cycle])
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        graphs._dumps(cycle)

@@ -855,3 +855,42 @@ def test_reading_a_wide_decomposition_peaks_below_2_mib():
     ids = [v for bag in pd.bags for v in bag]
     assert len(ids) > 60000
     assert len(set(map(id, ids))) == len(pd.vertices) == 320
+
+
+class _LengthSink:
+    """A text stream that keeps only the length of what is written."""
+
+    size = 0
+
+    def write(self, s: str) -> int:
+        self.size += len(s)
+        return len(s)
+
+    def writelines(self, chunks) -> None:
+        for chunk in chunks:
+            self.write(chunk)
+
+
+def test_writing_a_fresh_decomposition_streams_its_bags():
+    """pd.json of a decomposition built from intervals is written from the
+    interval sweep one bag at a time, and its bags stay unbuilt: the write
+    adds less than a quarter of the text to the traced memory held after
+    decomposing, where building every bag first held half the text."""
+    _, drawing = tl.random_drawing(400, 400, 0.0125, 1)
+    tracemalloc.start()
+    try:
+        pd, _ = tl.decompose_drawing(drawing)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sink = _LengthSink()
+        assert tl.decomposition_to_json(pd, sink) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 5_000_000
+    assert peak - held < sink.size / 4, (peak, held, sink.size)
+    assert "bags" not in vars(pd)
+    text = tl.decomposition_to_json(pd)
+    assert "bags" not in vars(pd)
+    assert len(text) == sink.size
+    assert text == tl.decomposition_to_json(PathDecomposition(pd.bags))
