@@ -4,10 +4,10 @@ Subcommands: gen, analyze, decompose, layout, pathwidth, check-pd, fuzz,
 render.  Exit codes: 0 success, 1 validation/invariant failure, 2 usage,
 3 size cap exceeded.  Files are JSON (UTF-8) except rendered SVG; "-" as an
 input path reads stdin, and omitting --out writes to stdout.  SVG and pd.json
-are written as they are produced.  A command opens its output files only
-after parsing, validation and the size caps have passed, opens all of them
-before it writes any, and removes the regular files it opened when one fails
-to open or to be written.
+are written as they are produced, and a pd.json file is read one bag at a
+time.  A command opens its output files only after parsing, validation and
+the size caps have passed, opens all of them before it writes any, and
+removes the regular files it opened when one fails to open or to be written.
 """
 
 from __future__ import annotations
@@ -53,6 +53,23 @@ def _read(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path}: input is not UTF-8 text: {exc}") from None
+
+
+def _read_pd(
+    path: str, fallback: Callable[[str], PathDecomposition | TwoLayerDrawing]
+) -> PathDecomposition | TwoLayerDrawing:
+    """The decomposition in the pd.json file at ``path``, read one bag at a
+    time, or else ``fallback`` of the whole text, read again.  stdin cannot
+    be read twice, so it is read whole and handed to ``fallback``, which
+    runs the bag reader over the text first."""
+    from .pathdecomp import _read_decomposition
+
+    if path != "-":
+        with open(path, encoding="utf-8") as fh:
+            pd = _read_decomposition(fh.read)
+        if pd is not None:
+            return pd
+    return fallback(_read(path))
 
 
 @contextmanager
@@ -187,7 +204,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     from .layout import layout_certificate_to_json, layout_decomposition
     from .pathdecomp import decomposition_from_json
 
-    pd = decomposition_from_json(_read(args.infile))
+    pd = _read_pd(args.infile, decomposition_from_json)
     graph = graph_from_json(_read(args.graph))
     drawing, cert = layout_decomposition(graph, pd, edge_cap=args.cap_edges)
     with _outputs(args.out, args.cert) as (fh, cert_fh):
@@ -215,12 +232,12 @@ def _cmd_pathwidth(args: argparse.Namespace) -> int:
 def _cmd_check_pd(args: argparse.Namespace) -> int:
     from .pathdecomp import decomposition_from_json, validate_decomposition
 
-    pd = decomposition_from_json(_read(args.infile))
+    pd = _read_pd(args.infile, decomposition_from_json)
     graph = graph_from_json(_read(args.graph))
     violations = validate_decomposition(graph, pd)
     payload = {
         "ok": not violations,
-        "width": pd.width if pd.bags else None,
+        "width": pd.width if pd._count else None,
         "violations": [
             {
                 "kind": v.kind,
@@ -260,7 +277,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     from .pathdecomp import PathDecomposition
     from .render import render_decomposition, render_drawing
 
-    payload = _render_payload(_read(args.infile))
+    payload = _read_pd(args.infile, _render_payload)
     with _output(args.out) as fh:
         if isinstance(payload, PathDecomposition):
             render_decomposition(payload, fh)
@@ -271,11 +288,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _render_payload(text: str) -> PathDecomposition | TwoLayerDrawing:
     """The decomposition or the drawing in ``text``, from one decode: a
-    document shaped like pd.json goes through the decomposition reader's
-    bag-at-a-time path, anything else through ``json.loads``."""
-    from .pathdecomp import _decomposition_from_object, _plain_decomposition
+    document shaped like pd.json goes through the decomposition's bag
+    reader, anything else through ``json.loads``."""
+    from .pathdecomp import _decomposition_from_object, _read_decomposition
 
-    pd = _plain_decomposition(text)
+    pd = _read_decomposition(text)
     if pd is not None:
         return pd
     data = _load_object(text)

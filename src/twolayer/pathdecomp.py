@@ -11,13 +11,12 @@ vertices cost nothing, while the vertex cap (20 by default) still counts them.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii
 from operator import eq, lt
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
 from .graphs import (
@@ -107,14 +106,46 @@ class PathDecomposition(_Frozen):
         """Each vertex's first and last 1-based bag, and the increasing bag
         indices of the vertices whose bags are not contiguous.  Both maps are
         keyed in order of first appearance (bag by bag, ids sorted within a
-        bag), which is (lo, id) order; only the second keeps index lists."""
-        where: defaultdict[str, list[int]] = defaultdict(list)
-        for i, bag in enumerate(self.bags, start=1):
-            for v in bag:
-                where[v].append(i)
-        span = {v: (idx[0], idx[-1]) for v, idx in where.items()}
-        broken = {v: idx for v, idx in where.items() if idx[-1] - idx[0] >= len(idx)}
+        bag), which is (lo, id) order; only the second keeps index lists, from
+        a second scan, made only when some vertex has them, for those alone."""
+        span, back, _ = _bag_intervals(self.bags)
+        broken: dict[str, list[int]] = {v: [] for v in span if v in back}
+        for i, bag in enumerate(self.bags if broken else (), start=1):
+            for v in broken.keys() & bag:
+                broken[v].append(i)
         return span, broken
+
+    def _ids_and_bags(self) -> tuple[Iterable[str], Iterable[tuple[str, ...]]]:
+        """Its ids and its bags: the built bags, or else the bags one at a
+        time from the interval sweep, which leaves them unbuilt."""
+        if "bags" in vars(self):
+            return self.vertices, self.bags
+        return self._intervals[0], self._sweep()
+
+
+def _bag_intervals(
+    bags: Iterable[Iterable[str]],
+) -> tuple[dict[str, tuple[int, int]], set[str], int]:
+    """Each id's first and last 1-based bag, keyed in (lo, id) order; the ids
+    that come back to a bag after they left one; and the number of bags.
+
+    Consecutive bags are compared as sets, so a bag costs C-level set
+    differences, and only the ids that enter or leave cost Python work."""
+    lo: dict[str, int] = {}
+    hi: dict[str, int] = {}
+    back: set[str] = set()
+    prev: frozenset[str] = frozenset()
+    count = 0
+    for count, bag in enumerate(bags, start=1):
+        cur = frozenset(bag)
+        new = cur - prev
+        first = new.difference(lo)
+        back |= new - first
+        lo.update(zip(sorted(first), repeat(count)))
+        hi.update(zip(prev - cur, repeat(count - 1)))
+        prev = cur
+    hi.update(zip(prev, repeat(count)))
+    return dict(zip(lo, zip(lo.values(), map(hi.__getitem__, lo)))), back, count
 
 
 class Violation(NamedTuple):
@@ -414,10 +445,7 @@ def _decomposition_json(pd: PathDecomposition) -> Iterator[str]:
     if not pd._count:
         yield '{\n  "bags": []\n}'
         return
-    if "bags" in vars(pd):
-        ids, bags = pd.vertices, pd.bags
-    else:
-        ids, bags = pd._intervals[0], pd._sweep()
+    ids, bags = pd._ids_and_bags()
     quoted = {v: encode_basestring_ascii(v) for v in ids}
     yield '{\n  "bags": [\n'
     sep = ""
@@ -428,7 +456,7 @@ def _decomposition_json(pd: PathDecomposition) -> Iterator[str]:
 
 
 def decomposition_from_json(text: str) -> PathDecomposition:
-    pd = _plain_decomposition(text)
+    pd = _read_decomposition(text) if isinstance(text, str) else None
     if pd is not None:
         return pd
     try:
@@ -438,53 +466,79 @@ def decomposition_from_json(text: str) -> PathDecomposition:
     return _decomposition_from_object(data)
 
 
-def _plain_decomposition(text: str) -> PathDecomposition | None:
-    """The decomposition of a valid document shaped as
-    ``decomposition_to_json`` writes it, ``{"bags": [bag, ...]}`` with any
-    JSON whitespace, or None for any other text, which ``json.loads`` then
-    reads and reports on as before.
+def _read_decomposition(source: str | Callable[[int], str]) -> PathDecomposition | None:
+    """The decomposition of a document shaped as ``decomposition_to_json``
+    writes it, ``{"bags": [bag, ...]}`` with any JSON whitespace, whose ids
+    are strs that each lie in consecutive bags; None for any other text,
+    which ``json.loads`` then reads and reports on as before.
 
-    It decodes one bag at a time and keeps one str per distinct id, where
-    ``json.loads`` would hold every bag at once and one str per occurrence."""
-    if not isinstance(text, str):
+    ``source`` is the whole text, or a text stream's ``read``, asked for
+    64 KiB or more at a time.  Bags are decoded one at a time and turned
+    into interval updates, so the reader holds about one bag's text and one
+    str per distinct id, and the bags stay unbuilt."""
+    if isinstance(source, str):
+        whole = iter((source,))
+        source = lambda size: next(whole, "")
+    try:
+        span, back, count = _bag_intervals(_decoded_bags(source))
+    except (TypeError, ValueError):  # an unhashable or unordered id, another
+        return None  # shape, or text that is not UTF-8
+    if back or not all(map(isinstance, span, repeat(str))):
         return None
-    ws = WHITESPACE.match
-    i = 0
-    for token in ("{", '"bags"', ":", "["):
-        i = ws(text, i).end()
-        if not text.startswith(token, i):
-            return None
-        i += len(token)
+    return PathDecomposition._from_intervals(span, count)
+
+
+def _decoded_bags(read: Callable[[int], str]) -> Iterator[list]:
+    """Each bag of a ``{"bags": [bag, ...]}`` document, decoded, from text
+    read by ``read``; ValueError where the text has another shape.
+
+    The buffer keeps the text from the current token on.  A bag that does
+    not decode may be cut off by the buffer's end, so it is decoded again
+    after a refill that at least doubles what the buffer keeps: refilling
+    costs linear time, however long or malformed a bag is."""
     decode = json.JSONDecoder().raw_decode
-    memo: dict[str, str] = {}
-    bags = []
-    i = ws(text, i).end()
-    more = not text.startswith("]", i)
-    if not more:
-        i += 1
+    buf, i = "", 0
+
+    def fill() -> bool:
+        """Drop the text before i and read more; False at the end."""
+        nonlocal buf, i
+        more = read(max(len(buf) - i, 1 << 16))
+        if more:
+            buf, i = buf[i:] + more, 0
+        return bool(more)
+
+    def at(token: str) -> bool:
+        """Skip whitespace and step past ``token`` if the text goes on with
+        it; the empty token is met only at the end of the text."""
+        nonlocal i
+        i = WHITESPACE.match(buf, i).end()
+        while len(buf) - i < max(len(token), 1) and fill():
+            i = WHITESPACE.match(buf, i).end()
+        found = buf.startswith(token, i) if token else i == len(buf)
+        i += found * len(token)
+        return found
+
+    if not all(map(at, ("{", '"bags"', ":", "["))):
+        raise ValueError("not a pd.json document")
+    more = not at("]")
     while more:
+        at("")
+        if buf.find("]", i) < 0 and fill():  # the bag is cut off
+            continue
         try:
-            bag, i = decode(text, ws(text, i).end())
+            bag, i = decode(buf, i)
         except json.JSONDecodeError:
-            return None
+            if fill():
+                continue
+            raise
         if not isinstance(bag, list):
-            return None
-        try:
-            bags.append(tuple(map(memo.setdefault, bag, bag)))
-        except TypeError:  # an id that is a list or an object
-            return None
-        i = ws(text, i).end()
-        if not text.startswith((",", "]"), i):
-            return None
-        more = text[i] == ","
-        i += 1
-    i = ws(text, i).end()
-    if not text.startswith("}", i) or ws(text, i + 1).end() != len(text):
-        return None
-    # Each distinct id is a key of the memo, so one type check covers it.
-    if not all(map(isinstance, memo, repeat(str))):
-        return None
-    return PathDecomposition(bags)
+            raise ValueError("a bag that is not a list")
+        yield bag
+        more = at(",")
+        if not more and not at("]"):
+            raise ValueError("a bag followed by neither ',' nor ']'")
+    if not (at("}") and at("")):
+        raise ValueError("text after the bags")
 
 
 def _decomposition_from_object(data: object) -> PathDecomposition:

@@ -37,6 +37,17 @@ def record_interval_passes(monkeypatch, alter=None) -> list[tl.PathDecomposition
     return passes
 
 
+def record_bag_builds(monkeypatch) -> list[tl.PathDecomposition]:
+    """Patch the decomposition's cached bag list so that each build of it
+    appends its decomposition to the returned list."""
+    real = tl.PathDecomposition.__dict__["bags"].func
+    built: list[tl.PathDecomposition] = []
+    prop = cached_property(lambda pd: built.append(pd) or real(pd))
+    prop.__set_name__(tl.PathDecomposition, "bags")
+    monkeypatch.setattr(tl.PathDecomposition, "bags", prop)
+    return built
+
+
 def random_corpus(
     count: int,
     seed: int,

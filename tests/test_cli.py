@@ -3,10 +3,12 @@
 import argparse
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,7 +16,7 @@ import twolayer as tl
 from twolayer import cli, pathdecomp
 from twolayer.cli import _output, _write, main
 
-from conftest import record_interval_passes
+from conftest import record_bag_builds, record_interval_passes
 
 
 def run(capsys, *argv):
@@ -130,17 +132,89 @@ def test_decompose_then_check(capsys, tmp_path, tree_drawing_file):
 
 
 def test_check_pd_makes_one_interval_pass(capsys, tmp_path, monkeypatch):
+    """pd.json is decoded once, by the stream reader, whose interval pass is
+    the only one: the cached pass over built bags never runs."""
     g, d = tl.grid_graph(3)
     graph_path = tmp_path / "g.json"
     graph_path.write_text(tl.graph_to_json(g))
     pd_path = tmp_path / "pd.json"
     pd_path.write_text(tl.decomposition_to_json(tl.decompose_drawing(d)[0]))
+    reads, bag_passes = [], []
+    real_reader, real_pass = pathdecomp._read_decomposition, pathdecomp._bag_intervals
+    monkeypatch.setattr(
+        pathdecomp, "_read_decomposition", lambda *a: reads.append(a) or real_reader(*a)
+    )
+    monkeypatch.setattr(
+        pathdecomp, "_bag_intervals", lambda bags: bag_passes.append(bags) or real_pass(bags)
+    )
     passes = record_interval_passes(monkeypatch)
     code, out, _ = run(
         capsys, "check-pd", "--in", str(pd_path), "--graph", str(graph_path)
     )
     assert code == 0 and json.loads(out)["ok"] is True
-    assert len(passes) == 1
+    assert len(reads) == len(bag_passes) == 1 and passes == []
+
+
+@pytest.fixture(scope="module")
+def wide_pd_dir(tmp_path_factory):
+    """pd.json (6.4 MB) and graph.json of random_drawing(400, 400, 0.0125, 1)."""
+    g, d = tl.random_drawing(400, 400, 0.0125, 1)
+    path = tmp_path_factory.mktemp("wide")
+    with open(path / "pd.json", "w", encoding="utf-8") as fh:
+        tl.decomposition_to_json(tl.decompose_drawing(d)[0], fh)
+    (path / "g.json").write_text(tl.graph_to_json(g))
+    return path
+
+
+@pytest.mark.parametrize("command", ["check-pd", "layout", "render"])
+def test_pd_json_readers_build_no_bag_list(capsys, monkeypatch, wide_pd_dir, command):
+    """Each command reads pd.json as bag intervals and never builds the
+    decomposition's bag list."""
+    built = record_bag_builds(monkeypatch)
+    argv = [command, "--in", str(wide_pd_dir / "pd.json"), "--out", os.devnull]
+    if command != "render":
+        argv += ["--graph", str(wide_pd_dir / "g.json")]
+    assert run(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_reading_and_validating_pd_json_holds_a_small_part_of_it(wide_pd_dir):
+    """Reading the 6.4 MB pd.json and validating it peaks below a quarter
+    of the file (0.5 MiB traced), where the whole text and every bag were
+    held at once before."""
+    graph = tl.graph_from_json((wide_pd_dir / "g.json").read_text())
+    path = wide_pd_dir / "pd.json"
+    tracemalloc.start()
+    try:
+        pd = cli._read_pd(str(path), tl.decomposition_from_json)
+        assert tl.validate_decomposition(graph, pd) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 6_000_000
+    assert peak < path.stat().st_size / 4, peak
+
+
+_STDIN_PDS = {
+    "contiguous": tl.PathDecomposition((("a0",), ("a0", "b1"), ("b1",))),
+    "not contiguous": tl.PathDecomposition((("a0", "b1"), ("b1",), ("a0", "b1"))),
+}
+
+
+@pytest.mark.parametrize("pd", _STDIN_PDS.values(), ids=_STDIN_PDS)
+@pytest.mark.parametrize("command", ["check-pd", "layout", "render"])
+def test_pd_json_on_stdin_reads_as_the_file(capsys, monkeypatch, tmp_path, command, pd):
+    """stdin is read whole, the file as a stream, with the same exit code,
+    output and error, whichever reader the document takes."""
+    text = tl.decomposition_to_json(pd)
+    (tmp_path / "pd.json").write_text(text)
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(tl.graph_to_json(tl.bipartition_from_edges((("a0", "b1"),))))
+    graph = ["--graph", str(graph_path)] if command != "render" else []
+    from_file = run(capsys, command, "--in", str(tmp_path / "pd.json"), *graph)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, command, "--in", "-", *graph) == from_file
+    assert from_file[1] or from_file[2]
 
 
 def test_check_pd_reports_violations(capsys, tmp_path):
@@ -447,23 +521,23 @@ def test_render_dispatches_on_payload(
 ):
     """Either payload kind is decoded once: the decode that picks the kind
     also feeds the renderer.  A pd.json is decoded by the decomposition's
-    bag reader, anything else by json.loads."""
+    stream reader, anything else by json.loads."""
     decodes = []
     real_loads = json.loads
-    real_reader = pathdecomp._plain_decomposition
+    real_reader = pathdecomp._read_decomposition
 
     def loads(text):
         decodes.append("json.loads")
         return real_loads(text)
 
-    def reader(text):
-        pd = real_reader(text)
+    def reader(source):
+        pd = real_reader(source)
         if pd is not None:
             decodes.append("bag reader")
         return pd
 
     monkeypatch.setattr(json, "loads", loads)
-    monkeypatch.setattr(pathdecomp, "_plain_decomposition", reader)
+    monkeypatch.setattr(pathdecomp, "_read_decomposition", reader)
     code, out, _ = run(capsys, "render", "--in", str(tree_drawing_file))
     assert code == 0 and out.startswith("<svg")
     assert decodes == ["json.loads"]

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,7 @@ from twolayer import (
     fuzz,
 )
 
-from conftest import drawings
+from conftest import drawings, record_bag_builds
 
 
 def test_config_validation():
@@ -304,11 +303,7 @@ def test_invalid_construction_fails_the_decompose_check(monkeypatch):
 def test_fuzz_checks_build_no_bags(monkeypatch):
     """Every check reads widths, bag counts and bag intervals; none builds
     the bags of a decomposition that the builders gave as intervals."""
-    real = tl.PathDecomposition.__dict__["bags"].func
-    built = []
-    prop = cached_property(lambda pd: built.append(pd) or real(pd))
-    prop.__set_name__(tl.PathDecomposition, "bags")
-    monkeypatch.setattr(tl.PathDecomposition, "bags", prop)
+    built = record_bag_builds(monkeypatch)
     rep = tl.run_fuzz(FuzzConfig(trials=40, seed=3))
     assert rep.ok and all(s.run for s in rep.stats.values())
     assert built == []

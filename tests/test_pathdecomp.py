@@ -1,5 +1,6 @@
 """Decomposition model, validation, exact pathwidth, normalization."""
 
+import io
 import json
 import random
 import tracemalloc
@@ -820,6 +821,96 @@ OTHER_TEXTS = [
 ]
 
 
+# pd.json-shaped documents in which some vertex's bags are not contiguous,
+# which json.loads reads too.
+NONCONTIGUOUS_TEXTS = [
+    '{"bags": [["a"], ["b"], ["a"]]}',
+    '{"bags": [["a"], [], ["a"]]}',
+    '{"bags": [["a", "b"], ["b"], ["a", "b"], ["c"], ["b"]]}',
+]
+
+
+def _windows(count):
+    """pd.json of ``count`` bags, each a window of 20 ids sliding by one; at
+    6000 bags it is about 0.9 MB, so bags straddle the default chunks too."""
+    return json.dumps({"bags": [[f"v{j}" for j in range(i, i + 20)] for i in range(count)]})
+
+
+_WINDOWS = _windows(6000)
+
+
+def _streamed(text, chunk=None):
+    """The stream reader's decomposition of ``text``, from a text stream
+    that gives at most ``chunk`` characters a read, or what the reader asks
+    for if None."""
+    stream = io.StringIO(text)
+    read = stream.read if chunk is None else lambda size: stream.read(min(size, chunk))
+    return pathdecomp._read_decomposition(read)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, None])
+@pytest.mark.parametrize(
+    "text", [t for t in PLAIN_TEXTS + OTHER_TEXTS + NONCONTIGUOUS_TEXTS if isinstance(t, str)]
+)
+def test_stream_reader_gives_what_json_loads_gave(text, chunk):
+    """From a stream in chunks of any size, each pd.json-shaped document
+    with contiguous bags is read as json.loads read it; every other document
+    is left to json.loads, which gives its decomposition or its error."""
+    pd = _streamed(text, chunk)
+    assert (pd is not None) == (text in PLAIN_TEXTS)
+    assert (_read(text) if pd is None else pd) == _reference_read(text)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096, None])
+def test_stream_reader_reads_bags_that_straddle_chunks(chunk):
+    text = _WINDOWS if chunk != 1 else _windows(200)
+    pd = _streamed(text, chunk)
+    assert pd is not None and "bags" not in vars(pd)
+    assert pd == _reference_read(text)
+
+
+# Ids that need escapes or look like JSON syntax, among plain ones.
+STREAM_IDS = st.sampled_from(["a0", "b1", "a10", "x y", 'q"', "\\", "]", "[[", ",", "é", "😀", "\n"])
+
+
+@given(
+    st.lists(st.lists(STREAM_IDS, max_size=6), max_size=8),
+    st.integers(1, 40),
+    st.sampled_from([None, 0, 1, 3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_stream_reader_matches_json_loads_on_random_bags(bags, chunk, indent):
+    """Duplicate, unsorted and escaped ids, and ids that come back after
+    they left, at any chunk size and layout.  The intervals come in the
+    order the bag pass gives, which names the first foreign vertex."""
+    text = json.dumps({"bags": bags}, indent=indent, ensure_ascii=indent != 1)
+    pd, expected = _streamed(text, chunk), _reference_read(text)
+    assert pd is None or "bags" not in vars(pd)
+    assert (pd is None) == bool(expected._intervals[1])
+    if pd is not None:
+        assert list(pd._intervals[0].items()) == list(expected._intervals[0].items())
+    assert (_read(text) if pd is None else pd) == expected
+
+
+def test_a_malformed_early_bag_copies_linear_text(monkeypatch):
+    """A bag that fails to decode is retried after each refill, so each
+    refill at least doubles the buffer: the buffers decoded add up to a
+    small multiple of a 2.9 MB document whose first bag is malformed, where
+    adding one chunk per refill would copy about 2.9 MB 45 times over."""
+    real = json.JSONDecoder.raw_decode
+    decoded = []
+
+    def raw_decode(self, s, idx=0):
+        decoded.append(len(s))
+        return real(self, s, idx)
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", raw_decode)
+    text = '{"bags": [["a0" "b1"], ' + _WINDOWS[len('{"bags": ['):] * 3
+    assert len(text) > 2_500_000
+    assert _streamed(text) is None
+    assert sum(decoded) < 4 * len(text)
+
+
 @pytest.mark.parametrize("text", PLAIN_TEXTS + OTHER_TEXTS)
 def test_reader_gives_what_json_loads_gave(text):
     """The same decomposition, or the same error type and message, as the
@@ -829,7 +920,7 @@ def test_reader_gives_what_json_loads_gave(text):
 
 @pytest.mark.parametrize("text", PLAIN_TEXTS)
 def test_plain_documents_keep_one_str_per_id(text):
-    pd = pathdecomp._plain_decomposition(text)
+    pd = pathdecomp._read_decomposition(text)
     assert pd is not None
     ids = [v for bag in pd.bags for v in bag]
     assert len(set(map(id, ids))) == len(pd.vertices)
@@ -837,7 +928,7 @@ def test_plain_documents_keep_one_str_per_id(text):
 
 @pytest.mark.parametrize("text", OTHER_TEXTS)
 def test_other_texts_go_through_json_loads(text):
-    assert pathdecomp._plain_decomposition(text) is None
+    assert pathdecomp._read_decomposition(text) is None
 
 
 def test_reading_a_wide_decomposition_peaks_below_2_mib():
