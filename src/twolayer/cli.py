@@ -4,8 +4,8 @@ Subcommands: gen, analyze, decompose, layout, pathwidth, check-pd, fuzz,
 render.  Exit codes: 0 success, 1 validation/invariant failure, 2 usage,
 3 size cap exceeded.  Files are JSON (UTF-8) except rendered SVG; "-" as an
 input path reads stdin, and omitting --out writes to stdout.  SVG and pd.json
-are written as they are produced, and a pd.json file is read one bag at a
-time.  A command opens its output files only after parsing, validation and
+are written as they are produced, and a seekable pd.json is read bag by
+bag.  A command opens its output files only after parsing, validation and
 the size caps have passed, opens all of them before it writes any, and
 removes the regular files it opened when one fails to open or to be written.
 """
@@ -45,12 +45,13 @@ if TYPE_CHECKING:
     from .pathdecomp import PathDecomposition
 
 
-def _read(path: str) -> str:
+def _read(path: str, fh: TextIO | None = None) -> str:
+    """The whole text at ``path``, or the rest of ``fh``, opened on it."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        if fh is None and path != "-":
+            with open(path, encoding="utf-8") as fh:
+                return fh.read()
+        return (fh or sys.stdin).read()
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path}: input is not UTF-8 text: {exc}") from None
 
@@ -58,18 +59,20 @@ def _read(path: str) -> str:
 def _read_pd(
     path: str, fallback: Callable[[str], PathDecomposition | TwoLayerDrawing]
 ) -> PathDecomposition | TwoLayerDrawing:
-    """The decomposition in the pd.json file at ``path``, read one bag at a
-    time, or else ``fallback`` of the whole text, read again.  stdin cannot
-    be read twice, so it is read whole and handed to ``fallback``, which
-    runs the bag reader over the text first."""
+    """The decomposition in the pd.json at ``path``, read one bag at a time
+    if the file is seekable, or else ``fallback`` of the whole text."""
     from .pathdecomp import _read_decomposition
 
-    if path != "-":
-        with open(path, encoding="utf-8") as fh:
+    if path == "-":
+        return fallback(_read(path))
+    with open(path, encoding="utf-8") as fh:
+        if fh.seekable():
             pd = _read_decomposition(fh.read)
-        if pd is not None:
-            return pd
-    return fallback(_read(path))
+            if pd is not None:
+                return pd
+            fh.seek(0)
+        text = _read(path, fh)
+    return fallback(text)
 
 
 @contextmanager

@@ -54,10 +54,11 @@ class PathDecomposition(_Frozen):
         vars(self).update(bags=tuple(normalized), _count=len(normalized))
 
     @classmethod
-    def _from_intervals(cls, span: dict, count: int) -> PathDecomposition:
-        """`count` bags, v in bags lo..hi for (lo, hi) = span[v], in (lo, id) order."""
+    def _from_intervals(cls, span: dict, count: int, broken: dict | None = None):
+        """`count` bags, v in bags lo..hi for (lo, hi) = span[v], in (lo, id)
+        order, or in bags broken[v] alone if given."""
         pd = cls.__new__(cls)
-        vars(pd).update(_intervals=(span, {}), _count=count)
+        vars(pd).update(_intervals=(span, broken or {}), _count=count)
         return pd
 
     @cached_property
@@ -65,11 +66,14 @@ class PathDecomposition(_Frozen):
         return tuple(self._sweep())
 
     def _sweep(self) -> Iterator[tuple[str, ...]]:
-        """The bags of given intervals, one at a time, from a sweep that
-        keeps the ids held sorted."""
+        """The bags one at a time: the built ones, or else from a sweep that
+        keeps the ids held sorted and leaves the bags unbuilt."""
+        if "bags" in vars(self):
+            yield from self.bags
+            return
         enter: list[list[str]] = [[] for _ in range(self._count + 2)]
         leave: list[list[str]] = [[] for _ in range(self._count + 2)]
-        for v, (lo, hi) in self._intervals[0].items():
+        for v, (lo, hi) in self._runs():
             enter[lo].append(v)
             leave[hi + 1].append(v)
         held: list[str] = []
@@ -80,13 +84,22 @@ class PathDecomposition(_Frozen):
             held.sort()
             yield tuple(held)
 
+    def _runs(self) -> Iterable[tuple[str, tuple[int, int]]]:
+        """Each id with the first and last of consecutive bags that hold it:
+        its interval, or each bag alone if its bags are not contiguous."""
+        span, broken = self._intervals
+        if not broken:
+            return span.items()
+        return [*((v, run) for v, run in span.items() if v not in broken),
+                *((v, (i, i)) for v, idx in broken.items() for i in idx)]
+
     @cached_property
     def _sizes(self) -> list[int]:
         """Bag sizes by 1-based index, 0 at either end; a sweep unless built."""
         if "bags" in vars(self):
             return [0, *map(len, self.bags), 0]
         delta = [0] * (self._count + 2)
-        for lo, hi in self._intervals[0].values():
+        for _, (lo, hi) in self._runs():
             delta[lo] += 1
             delta[hi + 1] -= 1
         return list(accumulate(delta))
@@ -99,53 +112,40 @@ class PathDecomposition(_Frozen):
 
     @cached_property
     def vertices(self) -> frozenset[str]:
-        return frozenset(chain.from_iterable(self.bags))
+        if "bags" in vars(self):
+            return frozenset(chain.from_iterable(self.bags))
+        return frozenset(self._intervals[0])
 
     @cached_property
     def _intervals(self) -> tuple[dict[str, tuple[int, int]], dict[str, list[int]]]:
         """Each vertex's first and last 1-based bag, and the increasing bag
-        indices of the vertices whose bags are not contiguous.  Both maps are
-        keyed in order of first appearance (bag by bag, ids sorted within a
-        bag), which is (lo, id) order; only the second keeps index lists, from
-        a second scan, made only when some vertex has them, for those alone."""
-        span, back, _ = _bag_intervals(self.bags)
-        broken: dict[str, list[int]] = {v: [] for v in span if v in back}
-        for i, bag in enumerate(self.bags if broken else (), start=1):
-            for v in broken.keys() & bag:
-                broken[v].append(i)
-        return span, broken
-
-    def _ids_and_bags(self) -> tuple[Iterable[str], Iterable[tuple[str, ...]]]:
-        """Its ids and its bags: the built bags, or else the bags one at a
-        time from the interval sweep, which leaves them unbuilt."""
-        if "bags" in vars(self):
-            return self.vertices, self.bags
-        return self._intervals[0], self._sweep()
+        indices of the vertices whose bags are not contiguous, both keyed in
+        (lo, id) order, the order of first appearance."""
+        return _bag_intervals(self.bags)[:2]
 
 
-def _bag_intervals(
-    bags: Iterable[Iterable[str]],
-) -> tuple[dict[str, tuple[int, int]], set[str], int]:
-    """Each id's first and last 1-based bag, keyed in (lo, id) order; the ids
-    that come back to a bag after they left one; and the number of bags.
-
-    Consecutive bags are compared as sets, so a bag costs C-level set
-    differences, and only the ids that enter or leave cost Python work."""
+def _bag_intervals(bags: Iterable[Iterable[str]]) -> tuple[dict, dict, int]:
+    """``_intervals`` of ``bags`` and their number.  A bag costs C-level set
+    differences with the one before; only ids that enter or leave cost more."""
     lo: dict[str, int] = {}
     hi: dict[str, int] = {}
-    back: set[str] = set()
+    missed: dict[str, set[int]] = {}
     prev: frozenset[str] = frozenset()
     count = 0
     for count, bag in enumerate(bags, start=1):
         cur = frozenset(bag)
         new = cur - prev
         first = new.difference(lo)
-        back |= new - first
+        for v in new - first:  # back after bags hi[v] + 1 .. count - 1
+            missed.setdefault(v, set()).update(range(hi[v] + 1, count))
         lo.update(zip(sorted(first), repeat(count)))
         hi.update(zip(prev - cur, repeat(count - 1)))
         prev = cur
     hi.update(zip(prev, repeat(count)))
-    return dict(zip(lo, zip(lo.values(), map(hi.__getitem__, lo)))), back, count
+    span = dict(zip(lo, zip(lo.values(), map(hi.__getitem__, lo))))
+    broken = {v: [i for i in range(a, b + 1) if i not in missed[v]]
+              for v, (a, b) in span.items() if v in missed}
+    return span, broken, count
 
 
 class Violation(NamedTuple):
@@ -445,18 +445,17 @@ def _decomposition_json(pd: PathDecomposition) -> Iterator[str]:
     if not pd._count:
         yield '{\n  "bags": []\n}'
         return
-    ids, bags = pd._ids_and_bags()
-    quoted = {v: encode_basestring_ascii(v) for v in ids}
+    quoted = {v: encode_basestring_ascii(v) for v in pd.vertices}
     yield '{\n  "bags": [\n'
     sep = ""
-    for bag in bags:
+    for bag in pd._sweep():
         yield _block(f"{sep}    [", map(quoted.__getitem__, bag), "]", 2)
         sep = ",\n"
     yield "\n  ]\n}"
 
 
 def decomposition_from_json(text: str) -> PathDecomposition:
-    pd = _read_decomposition(text) if isinstance(text, str) else None
+    pd = _read_decomposition(text)
     if pd is not None:
         return pd
     try:
@@ -467,50 +466,36 @@ def decomposition_from_json(text: str) -> PathDecomposition:
 
 
 def _read_decomposition(source: str | Callable[[int], str]) -> PathDecomposition | None:
-    """The decomposition of a document shaped as ``decomposition_to_json``
-    writes it, ``{"bags": [bag, ...]}`` with any JSON whitespace, whose ids
-    are strs that each lie in consecutive bags; None for any other text,
-    which ``json.loads`` then reads and reports on as before.
-
-    ``source`` is the whole text, or a text stream's ``read``, asked for
-    64 KiB or more at a time.  Bags are decoded one at a time and turned
-    into interval updates, so the reader holds about one bag's text and one
-    str per distinct id, and the bags stay unbuilt."""
-    if isinstance(source, str):
-        whole = iter((source,))
-        source = lambda size: next(whole, "")
+    """The decomposition, held as intervals, of a ``{"bags": [bag, ...]}``
+    document with str ids, from its text or a text stream's ``read``; None
+    for any other text, which ``json.loads`` then reads and reports on."""
+    if isinstance(source, str):  # the whole text, in one read
+        source = lambda size, rest=[source]: rest.pop() if rest else ""
     try:
-        span, back, count = _bag_intervals(_decoded_bags(source))
+        span, broken, count = _bag_intervals(_decoded_bags(source))
     except (TypeError, ValueError):  # an unhashable or unordered id, another
-        return None  # shape, or text that is not UTF-8
-    if back or not all(map(isinstance, span, repeat(str))):
+        return None  # shape, or input that is not str or UTF-8 text
+    if not all(map(isinstance, span, repeat(str))):
         return None
-    return PathDecomposition._from_intervals(span, count)
+    return PathDecomposition._from_intervals(span, count, broken)
 
 
 def _decoded_bags(read: Callable[[int], str]) -> Iterator[list]:
-    """Each bag of a ``{"bags": [bag, ...]}`` document, decoded, from text
-    read by ``read``; ValueError where the text has another shape.
-
-    The buffer keeps the text from the current token on.  A bag that does
-    not decode may be cut off by the buffer's end, so it is decoded again
-    after a refill that at least doubles what the buffer keeps: refilling
-    costs linear time, however long or malformed a bag is."""
+    """Each bag of a ``{"bags": [bag, ...]}`` document read by ``read``;
+    ValueError at another shape.  A bag that fails to decode is retried
+    after a refill that at least doubles the buffer, so reading is linear."""
     decode = json.JSONDecoder().raw_decode
     buf, i = "", 0
 
-    def fill() -> bool:
-        """Drop the text before i and read more; False at the end."""
+    def fill() -> bool:  # drop the text before i and read more; False at the end
         nonlocal buf, i
         more = read(max(len(buf) - i, 1 << 16))
         if more:
             buf, i = buf[i:] + more, 0
         return bool(more)
 
-    def at(token: str) -> bool:
-        """Skip whitespace and step past ``token`` if the text goes on with
-        it; the empty token is met only at the end of the text."""
-        nonlocal i
+    def at(token: str) -> bool:  # skip whitespace, then step past token if next
+        nonlocal i  # the empty token is met only at the end of the text
         i = WHITESPACE.match(buf, i).end()
         while len(buf) - i < max(len(token), 1) and fill():
             i = WHITESPACE.match(buf, i).end()

@@ -88,17 +88,15 @@ def _decomposition_svg(pd: PathDecomposition) -> Iterator[str]:
     box, then a text line for its 1-based index and one per member.  A line
     is the bag's ``<text x=…`` opening, its row's y and style, and its
     content, so each row's text and each id's escape are made once per
-    document and a bag's lines come from one join.  Bags that have not been
-    built come one at a time from the interval sweep and stay unbuilt."""
-    ids, bags = pd._ids_and_bags()
+    document and a bag's lines come from one join; unbuilt bags stay so."""
     tallest = max(pd._sizes)
     box_h = LINE_HEIGHT * max(tallest, 1) + 24
     total_w = 2 * MARGIN + max(pd._count * (BOX_WIDTH + BOX_GAP) - BOX_GAP, BOX_WIDTH)
-    escaped = {v: _escape(v) for v in ids}
+    escaped = {v: _escape(v) for v in pd.vertices}
     ys = [MARGIN - 6] + [MARGIN + 16 + j * LINE_HEIGHT for j in range(tallest)]
     rows = [f' y="{y}" font-size="10" text-anchor="middle">' for y in ys]
     yield _svg_header(min_x=0, min_y=0, width=total_w, height=box_h + 2 * MARGIN)
-    for i, bag in enumerate(bags):
+    for i, bag in enumerate(pd._sweep()):
         x = MARGIN + i * (BOX_WIDTH + BOX_GAP)
         text = f'<text x="{x + BOX_WIDTH // 2}"'
         lines = f"</text>\n{text}".join(

@@ -157,11 +157,16 @@ def test_check_pd_makes_one_interval_pass(capsys, tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def wide_pd_dir(tmp_path_factory):
-    """pd.json (6.4 MB) and graph.json of random_drawing(400, 400, 0.0125, 1)."""
+    """pd.json (6.4 MB) and graph.json of random_drawing(400, 400, 0.0125, 1),
+    and broken.json, pd.json with its first bag repeated at the end, so that
+    the vertices of that bag are not contiguous."""
     g, d = tl.random_drawing(400, 400, 0.0125, 1)
     path = tmp_path_factory.mktemp("wide")
+    pd = tl.decompose_drawing(d)[0]
     with open(path / "pd.json", "w", encoding="utf-8") as fh:
-        tl.decomposition_to_json(tl.decompose_drawing(d)[0], fh)
+        tl.decomposition_to_json(pd, fh)
+    with open(path / "broken.json", "w", encoding="utf-8") as fh:
+        tl.decomposition_to_json(tl.PathDecomposition((*pd.bags, pd.bags[0])), fh)
     (path / "g.json").write_text(tl.graph_to_json(g))
     return path
 
@@ -178,21 +183,70 @@ def test_pd_json_readers_build_no_bag_list(capsys, monkeypatch, wide_pd_dir, com
     assert built == []
 
 
-def test_reading_and_validating_pd_json_holds_a_small_part_of_it(wide_pd_dir):
+@pytest.mark.parametrize("command", ["check-pd", "layout", "render"])
+def test_pd_json_readers_build_no_bag_list_when_bags_are_not_contiguous(
+    capsys, monkeypatch, wide_pd_dir, command
+):
+    """A vertex that comes back to a bag is kept as its bag indices beside
+    the intervals: check-pd reports it and layout refuses it from those,
+    and render draws the bags from the sweep, all without a bag list."""
+    built = record_bag_builds(monkeypatch)
+    argv = [command, "--in", str(wide_pd_dir / "broken.json"), "--out", os.devnull]
+    if command != "render":
+        argv += ["--graph", str(wide_pd_dir / "g.json")]
+    assert run(capsys, *argv)[0] == (0 if command == "render" else 1)
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["pd.json", "broken.json"])
+def test_reading_and_validating_pd_json_holds_a_small_part_of_it(wide_pd_dir, name):
     """Reading the 6.4 MB pd.json and validating it peaks below a quarter
     of the file (0.5 MiB traced), where the whole text and every bag were
-    held at once before."""
+    held at once before; so does the copy whose first bag comes back at the
+    end, which json.loads read whole, one str per id occurrence."""
     graph = tl.graph_from_json((wide_pd_dir / "g.json").read_text())
-    path = wide_pd_dir / "pd.json"
+    path = wide_pd_dir / name
     tracemalloc.start()
     try:
         pd = cli._read_pd(str(path), tl.decomposition_from_json)
-        assert tl.validate_decomposition(graph, pd) == ()
+        violations = tl.validate_decomposition(graph, pd)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert {v.kind for v in violations} == ({"contiguity"} if name == "broken.json" else set())
     assert path.stat().st_size > 6_000_000
     assert peak < path.stat().st_size / 4, peak
+
+
+def test_pd_json_readers_read_a_pipe_once(capsys, tmp_path, tree_drawing_file):
+    """A path that can be read only once, such as /dev/fd/N of a pipe, is
+    read whole from the one handle opened on it and gives what its file
+    gives: render of a drawing, check-pd of a pd.json whose bags are not
+    contiguous, and layout of pathwidth's output."""
+    g = tl.bipartition_from_edges((("a0", "b1"), ("b1", "a2")))
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(tl.graph_to_json(g))
+    pd_path = tmp_path / "pd.json"
+    pd_path.write_text(tl.decomposition_to_json(tl.PathDecomposition(
+        (("a0", "b1"), ("b1",), ("a0", "a2", "b1"))
+    )))
+    pw_path = tmp_path / "pw.json"
+    assert run(capsys, "pathwidth", "--in", str(graph_path), "--out", str(pw_path))[0] == 0
+    graph = ["--graph", str(graph_path)]
+    for argv, path, code in (
+        (["render"], tree_drawing_file, 0),
+        (["check-pd", *graph], pd_path, 1),
+        (["layout", *graph], pw_path, 0),
+    ):
+        from_file = run(capsys, *argv, "--in", str(path))
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())  # within the pipe's buffer
+            os.close(w)
+            assert run(capsys, *argv, "--in", f"/dev/fd/{r}") == from_file
+        finally:
+            os.close(r)
+        assert from_file[0] == code and from_file[1]
 
 
 _STDIN_PDS = {

@@ -205,8 +205,8 @@ def _outcome(validate, g, pd):
 def test_interval_form_reads_as_its_bags(g, data):
     """A decomposition given as intervals validates, measures and stages as
     its bags given as bags do: the same violations or foreign-vertex error,
-    width, interval map in the same order and staged decomposition.  None of
-    these builds its bags."""
+    width, vertex set, interval map in the same order and staged
+    decomposition.  None of these builds its bags."""
     count = data.draw(st.integers(0, 6))
     span = {}
     for v in (*g.vertices, "x0"):
@@ -218,9 +218,11 @@ def test_interval_form_reads_as_its_bags(g, data):
     got = _outcome(tl.validate_decomposition, g, pd)
     width = pd.width if count else None
     staged = tl.normalize_unique_intro(pd) if span else None
+    vertices = pd.vertices
     assert "bags" not in vars(pd)
     as_bags = PathDecomposition(pd.bags)
     assert as_bags == pd and len(pd.bags) == count
+    assert vertices == as_bags.vertices
     assert got == _outcome(tl.validate_decomposition, g, as_bags)
     assert got == _outcome(naive_validate, g, as_bags)
     assert width == (as_bags.width if count else None)
@@ -821,12 +823,13 @@ OTHER_TEXTS = [
 ]
 
 
-# pd.json-shaped documents in which some vertex's bags are not contiguous,
-# which json.loads reads too.
+# pd.json documents in which some vertex's bags are not contiguous: the
+# reader keeps those vertices' bag indices beside the intervals.
 NONCONTIGUOUS_TEXTS = [
     '{"bags": [["a"], ["b"], ["a"]]}',
     '{"bags": [["a"], [], ["a"]]}',
     '{"bags": [["a", "b"], ["b"], ["a", "b"], ["c"], ["b"]]}',
+    '{"bags": [["a", "a"], ["b"], ["a"], [], ["b", "a"], ["a"], ["c"], ["a", "c"]]}',
 ]
 
 
@@ -854,11 +857,18 @@ def _streamed(text, chunk=None):
 )
 def test_stream_reader_gives_what_json_loads_gave(text, chunk):
     """From a stream in chunks of any size, each pd.json-shaped document
-    with contiguous bags is read as json.loads read it; every other document
-    is left to json.loads, which gives its decomposition or its error."""
+    is read as json.loads read it, with the same interval pass; every other
+    document is left to json.loads, which gives its decomposition or its
+    error."""
     pd = _streamed(text, chunk)
-    assert (pd is not None) == (text in PLAIN_TEXTS)
-    assert (_read(text) if pd is None else pd) == _reference_read(text)
+    expected = _reference_read(text)
+    assert (pd is not None) == (text in PLAIN_TEXTS + NONCONTIGUOUS_TEXTS)
+    if pd is not None:
+        assert "bags" not in vars(pd)
+        assert [list(m.items()) for m in pd._intervals] == [
+            list(m.items()) for m in expected._intervals
+        ]
+    assert (_read(text) if pd is None else pd) == expected
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096, None])
@@ -885,11 +895,11 @@ def test_stream_reader_matches_json_loads_on_random_bags(bags, chunk, indent):
     order the bag pass gives, which names the first foreign vertex."""
     text = json.dumps({"bags": bags}, indent=indent, ensure_ascii=indent != 1)
     pd, expected = _streamed(text, chunk), _reference_read(text)
-    assert pd is None or "bags" not in vars(pd)
-    assert (pd is None) == bool(expected._intervals[1])
-    if pd is not None:
-        assert list(pd._intervals[0].items()) == list(expected._intervals[0].items())
-    assert (_read(text) if pd is None else pd) == expected
+    assert pd is not None and "bags" not in vars(pd)
+    assert [list(m.items()) for m in pd._intervals] == [
+        list(m.items()) for m in expected._intervals
+    ]
+    assert pd._sizes == expected._sizes and pd == expected
 
 
 def test_a_malformed_early_bag_copies_linear_text(monkeypatch):
@@ -918,7 +928,7 @@ def test_reader_gives_what_json_loads_gave(text):
     assert _read(text) == _reference_read(text)
 
 
-@pytest.mark.parametrize("text", PLAIN_TEXTS)
+@pytest.mark.parametrize("text", PLAIN_TEXTS + NONCONTIGUOUS_TEXTS)
 def test_plain_documents_keep_one_str_per_id(text):
     pd = pathdecomp._read_decomposition(text)
     assert pd is not None
