@@ -100,11 +100,17 @@ _EXPORTS = {
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
+# The bodies that only some commands run.  A public function reaches its body
+# as ``twolayer.<module>.<name>``, which imports the module on first use.
+_PRIVATE = frozenset(
+    {"_checks", "_cover", "_exact", "_random", "_reader", "_staging", "_witness"}
+)
+
 __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:  # a submodule, bound as `import twolayer.<name>` would
+    if name in _EXPORTS or name in _PRIVATE:  # bound as `import twolayer.<name>` would
         return import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:

@@ -10,11 +10,12 @@ patience-sorting sweep over that order.
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import CapExceededError, CertificateError, GraphError
+import twolayer
+
+from .errors import CapExceededError, GraphError
 from .graphs import DEFAULT_PROFILE_CAP, DEFAULT_ST_EDGE_CAP, Edge, TwoLayerDrawing, _Frozen
 
 
@@ -43,16 +44,7 @@ def crossings_per_edge(drawing: TwoLayerDrawing) -> dict[Edge, int]:
     """Number of edges crossing each edge; values sum to twice the pair count.
     In (posA, posB) order, an edge is crossed by exactly the earlier edges
     with a higher posB and the later edges with a lower one."""
-    coords = drawing._by_rank
-    all_b = sorted(pb for _, pb, _ in coords)
-    seen: list[int] = []  # posB of the earlier edges, sorted
-    counts: dict[Edge, int] = {}
-    for i, (_, pb, e) in enumerate(coords):
-        earlier_above = i - bisect.bisect_right(seen, pb)
-        later_below = bisect.bisect_left(all_b, pb) - bisect.bisect_left(seen, pb)
-        counts[e] = earlier_above + later_below
-        bisect.insort(seen, pb)
-    return counts
+    return twolayer._witness.crossings_per_edge(drawing)
 
 
 # ===================================================================
@@ -80,22 +72,7 @@ class CrossingWitness(_Frozen):
     def verify(self, drawing: TwoLayerDrawing) -> bool:
         """Re-validate the witness from raw coordinates; GraphError if it
         names a non-edge."""
-        if self.kind == "k":
-            # pairwise crossing: sorted, rising on rail A and falling on rail B
-            pairs = sorted((a, -b) for a, b in (_coord_of(drawing, e) for e in self.edges))
-            return _rising_prefix(pairs) == len(pairs)
-        if self.kind == "st":
-            sides = sorted(
-                sorted(_coord_of(drawing, e) for e in side)
-                for side in (self.s_edges, self.t_edges)
-            )
-            if not all(sides) or any(_rising_prefix(p) < len(p) for p in sides):
-                return False
-            # Both sides are non-crossing matchings, and two of those cross
-            # completely iff one lies wholly above and left of the other.
-            left, right = sides
-            return left[-1][0] < right[0][0] and left[0][1] > right[-1][1]
-        raise GraphError(f"unknown witness kind {self.kind!r}")
+        return twolayer._checks.verify(self, drawing)
 
 
 def _rising_prefix(pairs: Sequence[tuple[int, int]]) -> int:
@@ -107,36 +84,6 @@ def _rising_prefix(pairs: Sequence[tuple[int, int]]) -> int:
     return len(pairs)
 
 
-# ===================================================================
-# longest-increasing-subsequence core
-# ===================================================================
-
-def _lis_strict(values: Sequence[int]) -> tuple[int, list[int]]:
-    """Longest strictly increasing subsequence; returns (length, indices)."""
-    tails: list[int] = []      # tails[d]: smallest last value over subseqs of length d+1
-    tails_idx: list[int] = []
-    parent = [-1] * len(values)
-    for i, v in enumerate(values):
-        d = bisect.bisect_left(tails, v)
-        if d == len(tails):
-            tails.append(v)
-            tails_idx.append(i)
-        else:
-            tails[d] = v
-            tails_idx[d] = i
-        if d > 0:
-            parent[i] = tails_idx[d - 1]
-    if not tails:
-        return 0, []
-    chain = []
-    i = tails_idx[-1]
-    while i != -1:
-        chain.append(i)
-        i = parent[i]
-    chain.reverse()
-    return len(tails), chain
-
-
 def max_crossing_set(drawing: TwoLayerDrawing) -> tuple[int, CrossingWitness]:
     """Size and witness of a maximum set of pairwise crossing edges.
 
@@ -146,7 +93,7 @@ def max_crossing_set(drawing: TwoLayerDrawing) -> tuple[int, CrossingWitness]:
     decreasing run.
     """
     coords = drawing._by_rank
-    k, idx = _lis_strict([-pb for _, pb, _ in coords])
+    k, idx = twolayer._witness._lis_strict([-pb for _, pb, _ in coords])
     witness = CrossingWitness("k", edges=tuple(coords[i][2] for i in idx))
     return k, witness
 
@@ -189,53 +136,7 @@ def min_chain_cover(drawing: TwoLayerDrawing) -> ChainCover:
     pile.  Pile tops stay sorted, and the pile count matches the maximum
     antichain, so the cover is minimum.
     """
-    piles: list[list[Edge]] = []
-    tops: list[int] = []
-    for pa, pb, e in drawing._by_rank:
-        c = bisect.bisect_right(tops, pb) - 1
-        if c < 0:
-            piles.insert(0, [e])
-            tops.insert(0, pb)
-        else:
-            piles[c].append(e)
-            tops[c] = pb
-    chains = tuple(tuple(p) for p in piles)
-    arcs: dict[Edge, tuple[str, str]] = {}
-    for chain in chains:
-        arcs.update(_orient_chain(drawing, chain))
-    return ChainCover(chains, arcs)
-
-
-def _orient_chain(
-    drawing: TwoLayerDrawing, chain: Sequence[Edge]
-) -> dict[Edge, tuple[str, str]]:
-    """Orient a non-crossing chain with out-degree <= 1 at every vertex.
-
-    Non-crossing edge sets are forests (one diagonal pair of any 4-cycle
-    crosses in every drawing), so rooting each component and pointing every
-    edge child -> parent does it.  The root is the endpoint of the
-    component's dominance-least edge with the smaller rank, A side on ties.
-    """
-    adj: dict[str, list[tuple[str, Edge]]] = {}
-    for u, v in chain:
-        adj.setdefault(u, []).append((v, (u, v)))
-        adj.setdefault(v, []).append((u, (u, v)))
-    arcs: dict[Edge, tuple[str, str]] = {}
-    visited: set[str] = set()
-    for u, v in chain:  # chain order puts each component's least edge first
-        if u in visited:
-            continue
-        root = u if drawing.pos_a[u] <= drawing.pos_b[v] else v
-        visited.add(root)
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y, f in sorted(adj[x]):
-                if y not in visited:
-                    visited.add(y)
-                    arcs[f] = (y, x)
-                    queue.append(y)
-    return arcs
+    return twolayer._cover.min_chain_cover(drawing)
 
 
 # ===================================================================
@@ -254,26 +155,7 @@ def maximal_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
     matching edge, and so could be added, iff both ends fall in the same gap
     between consecutive matching edges: two bisects per such edge.
     """
-    accepted: list[Edge] = []
-    used: set[str] = set()
-    last_pb = 0
-    for pa, pb, e in drawing._by_rank:
-        if e[0] in used or e[1] in used:
-            continue
-        if accepted and pb <= last_pb:
-            continue
-        accepted.append(e)
-        used.update(e)
-        last_pb = pb
-    pos_a, pos_b = drawing.pos_a, drawing.pos_b
-    a_ranks = [pos_a[u] for u, _ in accepted]
-    b_ranks = [pos_b[v] for _, v in accepted]
-    for u, v in drawing.graph.edges:
-        if u in used or v in used:
-            continue
-        if bisect.bisect(a_ranks, pos_a[u]) == bisect.bisect(b_ranks, pos_b[v]):
-            raise CertificateError(f"sweep missed the addable edge {(u, v)!r}")
-    return tuple(accepted)
+    return twolayer._cover.maximal_noncrossing_matching(drawing)
 
 
 def crossed_runs(
@@ -287,22 +169,7 @@ def crossed_runs(
     edge at ranks (a, b) iff a_i < a and b_i > b, or a_i > a and b_i < b:
     two index intervals of the rising rank lists, at most one non-empty.
     """
-    if not drawing.graph.edge_set.issuperset(matching):
-        raise CertificateError("the matching holds a non-edge")
-    pa, pb = drawing.pos_a, drawing.pos_b
-    pairs = [(pa[u], pb[v]) for u, v in matching]
-    i = _rising_prefix(pairs)
-    if i < len(pairs):
-        raise CertificateError(f"matching edge {i + 1} does not rise above edge {i}")
-    a_ranks, b_ranks = [a for a, _ in pairs], [b for _, b in pairs]
-    runs: dict[Edge, tuple[int, int]] = {}
-    for u, v in drawing.graph.edges:
-        a, b = pa[u], pb[v]
-        lo, hi = bisect.bisect_right(b_ranks, b) + 1, bisect.bisect_left(a_ranks, a)
-        if lo > hi:
-            lo, hi = bisect.bisect_right(a_ranks, a) + 1, bisect.bisect_left(b_ranks, b)
-        runs[(u, v)] = (lo, hi)
-    return runs
+    return twolayer._cover.crossed_runs(drawing, matching)
 
 
 def maximum_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
@@ -312,14 +179,7 @@ def maximum_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
     sort by (posA asc, posB desc) and take a strict LIS of posB.  The
     descending tie order blocks picking two edges off one A-vertex.
     """
-    return _rising_chain(drawing._by_rank)
-
-
-def _rising_chain(items: Iterable[tuple[int, int, Edge]]) -> tuple[Edge, ...]:
-    """Edges of a longest strictly rising run of (posA, posB, edge) items."""
-    ordered = sorted(items, key=lambda c: (c[0], -c[1]))
-    _, idx = _lis_strict([c[1] for c in ordered])
-    return tuple(ordered[i][2] for i in idx)
+    return twolayer._witness._rising_chain(drawing._by_rank)
 
 
 # ===================================================================
@@ -459,21 +319,6 @@ def _st_splits(
     return splits
 
 
-def _st_witness(
-    drawing: TwoLayerDrawing, split: tuple[int, int, bool], s: int, t: int
-) -> CrossingWitness:
-    """S and T from the two quadrants of a split; S comes from the quadrant
-    posA <= p, posB > q unless the split is swapped."""
-    p, q, swapped = split
-    coords = drawing._by_rank
-    upper = _rising_chain(c for c in coords if c[0] <= p and c[1] > q)
-    lower = _rising_chain(c for c in coords if c[0] > p and c[1] <= q)
-    s_side, t_side = (lower, upper) if swapped else (upper, lower)
-    if len(s_side) < s or len(t_side) < t:
-        raise CertificateError(f"split {split} holds no ({s},{t})-crossing")
-    return CrossingWitness("st", s_edges=s_side[:s], t_edges=t_side[:t])
-
-
 def st_crossing_exists(
     drawing: TwoLayerDrawing,
     s: int,
@@ -486,7 +331,7 @@ def st_crossing_exists(
     if s + t > min(len({u for u, _ in edges}), len({v for _, v in edges})):
         return None  # S and T need s + t distinct endpoints on each rail
     split = _st_splits(drawing, s, t, edge_cap).get((s, t))
-    return None if split is None else _st_witness(drawing, split, s, t)
+    return None if split is None else twolayer._witness._st_witness(drawing, split, s, t)
 
 
 def _pareto_max(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -540,33 +385,7 @@ def check_counting_bound(
 
     All four hypotheses are verified, never assumed.
     """
-    if k < 1 or ell < 1 or d < 1:
-        raise GraphError("k, ell, d must be >= 1")
-    g = drawing.graph
-    failures: list[str] = []
-    for v in g.a:
-        if g.degree(v) < 1:
-            failures.append(f"A-vertex {v!r} has degree 0")
-            break
-    for v in g.b:
-        if g.degree(v) > d:
-            failures.append(f"B-vertex {v!r} has degree {g.degree(v)} > {d}")
-            break
-    kk, _ = max_crossing_set(drawing)
-    if kk > k:
-        failures.append(f"a {kk}-crossing exists, so 'no (k+1)-crossing' fails")
-    mm = len(maximum_noncrossing_matching(drawing))
-    if mm > ell:
-        failures.append(
-            f"a non-crossing matching of size {mm} exists, exceeding ell={ell}"
-        )
-    bound = k * ell * d
-    return CountingBoundReport(
-        observed_a=len(g.a),
-        bound=bound,
-        holds=len(g.a) <= bound,
-        hypothesis_failures=tuple(failures),
-    )
+    return twolayer._checks.check_counting_bound(drawing, k, ell, d)
 
 
 # ===================================================================
@@ -581,29 +400,4 @@ def analysis_report(
 ) -> dict:
     """JSON-ready summary: max crossing set, per-edge maximum, (s,t)
     frontier, and re-verifiable witnesses for each."""
-    k, kw = max_crossing_set(drawing)
-    per_edge = crossings_per_edge(drawing)
-    splits = _st_splits(drawing, st_cap, st_cap, edge_cap)
-    frontier = _pareto_max(splits)
-    st_witnesses = []
-    for s, t in frontier:
-        # A frontier point is Pareto-maximal, so its first split here is the
-        # first one with a, b >= s, t (or swapped): st_crossing_exists's.
-        w = _st_witness(drawing, splits[(s, t)], s, t)
-        st_witnesses.append(
-            {
-                "s": s,
-                "t": t,
-                "S": [list(e) for e in w.s_edges],
-                "T": [list(e) for e in w.t_edges],
-            }
-        )
-    return {
-        "k": k,
-        "perEdgeMax": max(per_edge.values(), default=0),
-        "stFrontier": [[s, t] for s, t in frontier],
-        "witnesses": {
-            "maxCrossing": [list(e) for e in kw.edges],
-            "st": st_witnesses,
-        },
-    }
+    return twolayer._witness.analysis_report(drawing, st_cap, edge_cap)

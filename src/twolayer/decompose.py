@@ -16,6 +16,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
+import twolayer
+
 from .analysis import (
     ChainCover,
     DEFAULT_PROFILE_CAP,
@@ -260,57 +262,7 @@ def audit_counting_bounds(
     and |V_{i,j}| <= |V_i| + |V_{i+1}| + (k+1).  A drawing with an empty
     matching has nothing to count.
     """
-    n = len(cert.matching)
-    if n == 0:
-        return AuditReport(cert.k, 0, cert.unachievable, (), vacuous=True)
-    k = cert.k
-    crossed, at, pd, _ = _spans(drawing, cert.matching, cert.gaps, cert.cover)
-    sizes = pd._sizes  # |V_i| = sizes[at[i]], |V_(i,j)| = sizes[at[i] + j]
-    violations: list[AuditViolation] = []
-
-    runs = [(head, *crossed[f]) for f, (_tail, head) in cert.cover.arcs.items()]
-    gap_index = {v: i for i, ys in enumerate(cert.gaps) for v in ys}
-    yij: dict[tuple[int, int], set[str]] = {}
-    for f, (tail, head) in cert.cover.arcs.items():
-        i, j = gap_index.get(head), gap_index.get(tail)
-        if i is not None and j is not None:
-            yij.setdefault((i, j), set()).add(head)
-    for (i, j), members in sorted(yij.items()):
-        bound = 2 * k * k * abs(j - i)
-        if len(members) > bound:
-            violations.append(AuditViolation("Yij", (i, j), len(members), bound))
-
-    for s, t in cert.unachievable:
-        p_bound = 4 * k * k * (t - 1)
-        v_bound = 2 * (k + 1) + p_bound + 2 * k * k * (s - 1) ** 2 * (s - 2)
-        # Heads of runs lo..hi holding the s edges ending (lo+s-1 <= i <= hi) or
-        # starting (lo <= i <= hi-s+1) at i, each counted once by differences.
-        delta = [0] * (n + 2)
-        held, end = None, 0
-        for head, a, b in sorted(
-            (head, a, b)
-            for head, lo, hi in runs
-            if hi - lo >= s - 1
-            for a, b in ((lo, hi - s + 1), (lo + s - 1, hi))
-        ):
-            a = max(a, end + 1) if head == held else a
-            if a <= b:
-                delta[a] += 1
-                delta[b + 1] -= 1
-                held, end = head, b
-        for i, p_i in enumerate(accumulate(delta[1 : n + 1]), start=1):
-            if p_i > p_bound:
-                violations.append(AuditViolation("Pi", (i, s, t), p_i, p_bound))
-            if sizes[at[i]] > v_bound:
-                violations.append(AuditViolation("Vi", (i, s, t), sizes[at[i]], v_bound))
-
-    for i, ys in enumerate(cert.gaps):
-        bound = sizes[at[i]] + sizes[at[i + 1]] + (k + 1)
-        for j in range(1, len(ys) + 1):
-            if sizes[at[i] + j] > bound:
-                violations.append(AuditViolation("Vij", (i, j), sizes[at[i] + j], bound))
-
-    return AuditReport(k, n, cert.unachievable, tuple(violations), vacuous=False)
+    return twolayer._checks.audit_counting_bounds(drawing, cert)
 
 
 def certificate_to_json(cert: DecompositionCertificate) -> str:

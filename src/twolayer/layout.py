@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ._staging import _staged_bags, _staged_first_bags
 from .analysis import (
     CrossingWitness,
     DEFAULT_ST_EDGE_CAP,
@@ -20,12 +21,7 @@ from .analysis import (
 )
 from .errors import CertificateError, DecompositionError, GraphError
 from .graphs import BipartiteGraph, TwoLayerDrawing, _dumps, _Frozen
-from .pathdecomp import (
-    PathDecomposition,
-    _staged_bags,
-    _staged_first_bags,
-    validate_decomposition,
-)
+from .pathdecomp import PathDecomposition, validate_decomposition
 
 
 class LayoutCertificate(_Frozen):

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from json.decoder import WHITESPACE
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
-from operator import eq, lt
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .errors import CapExceededError, CertificateError, DecompositionError, GraphError
+import twolayer
+
+from .errors import DecompositionError
 from .graphs import (
     DEFAULT_PATHWIDTH_CAP,
     BipartiteGraph,
@@ -37,21 +37,8 @@ class PathDecomposition(_Frozen):
     _fields = ("bags",)
 
     def __init__(self, bags: Iterable[Iterable[str]]) -> None:
-        # Sort only a bag that is not strictly ascending; equal ids end adjacent.
-        normalized = []
-        for bag in bags:
-            ordered = tuple(bag)
-            try:
-                ascending = all(map(lt, ordered, ordered[1:]))
-            except TypeError:  # sorted raises it, as it always has
-                ascending = False
-            if not ascending:
-                ordered = sorted(ordered)
-                if any(map(eq, ordered, ordered[1:])):
-                    ordered = sorted(set(ordered))
-                ordered = tuple(ordered)
-            normalized.append(ordered)
-        vars(self).update(bags=tuple(normalized), _count=len(normalized))
+        bags = twolayer._reader._sorted_bags(bags)
+        vars(self).update(bags=bags, _count=len(bags))
 
     @classmethod
     def _from_intervals(cls, span: dict, count: int, broken: dict | None = None):
@@ -121,31 +108,7 @@ class PathDecomposition(_Frozen):
         """Each vertex's first and last 1-based bag, and the increasing bag
         indices of the vertices whose bags are not contiguous, both keyed in
         (lo, id) order, the order of first appearance."""
-        return _bag_intervals(self.bags)[:2]
-
-
-def _bag_intervals(bags: Iterable[Iterable[str]]) -> tuple[dict, dict, int]:
-    """``_intervals`` of ``bags`` and their number.  A bag costs C-level set
-    differences with the one before; only ids that enter or leave cost more."""
-    lo: dict[str, int] = {}
-    hi: dict[str, int] = {}
-    missed: dict[str, set[int]] = {}
-    prev: frozenset[str] = frozenset()
-    count = 0
-    for count, bag in enumerate(bags, start=1):
-        cur = frozenset(bag)
-        new = cur - prev
-        first = new.difference(lo)
-        for v in new - first:  # back after bags hi[v] + 1 .. count - 1
-            missed.setdefault(v, set()).update(range(hi[v] + 1, count))
-        lo.update(zip(sorted(first), repeat(count)))
-        hi.update(zip(prev - cur, repeat(count - 1)))
-        prev = cur
-    hi.update(zip(prev, repeat(count)))
-    span = dict(zip(lo, zip(lo.values(), map(hi.__getitem__, lo))))
-    broken = {v: [i for i in range(a, b + 1) if i not in missed[v]]
-              for v, (a, b) in span.items() if v in missed}
-    return span, broken, count
+        return twolayer._reader._bag_intervals(self.bags)[:2]
 
 
 class Violation(NamedTuple):
@@ -224,59 +187,6 @@ def intro_intervals(pd: PathDecomposition) -> dict[str, tuple[int, int]]:
     return dict(pd._intervals[0])
 
 
-# ===================================================================
-# exact pathwidth (vertex separation, bit-parallel bottleneck search)
-# ===================================================================
-
-def _reached_families(nbr: list[int]) -> list[int]:
-    """R_w = {S : f(S) <= w} for w = 0, 1, ..., f(V), V the vertices of the
-    neighbour bitmasks `nbr`.  A family of subsets is an int, bit S set iff
-    S is in it.  R_w is the closure of R_(w-1) + {{}} under adding a vertex
-    i, `(R & without[i]) << 2^i`, while the boundary stays at most w.  Set S
-    has i on its boundary iff it is in some without[j], j in N(i), but not
-    in without[i]; plane p of the bit-sliced counts holds their bit p."""
-    n = len(nbr)
-    size = 1 << n
-    every = (1 << size) - 1
-    without = []
-    for i in range(n):
-        if i < 3:  # periods within a byte
-            pattern = bytes(((0x55, 0x33, 0x0F)[i],)) * max(size >> 3, 1)
-        else:
-            half = 1 << (i - 3)
-            pattern = (b"\xff" * half + b"\x00" * half) * (size >> (i + 1))
-        without.append(int.from_bytes(pattern, "little") & every)
-    planes = [0] * n.bit_length()
-    for i, m in enumerate(nbr):
-        carry = 0
-        for j in range(n):
-            if m >> j & 1:
-                carry |= without[j]
-        carry &= ~without[i]
-        for p, plane in enumerate(planes):
-            planes[p], carry = plane ^ carry, plane & carry
-    reached: list[int] = []
-    r = 0
-    while not r >> (size - 1):
-        w = len(reached)
-        above, tied = 0, every  # counts above w; equal to w in planes so far
-        for p in reversed(range(len(planes))):
-            if w >> p & 1:
-                tied &= planes[p]
-            else:
-                above |= tied & planes[p]
-                tied &= ~planes[p]
-        cheap = every ^ above
-        r |= 1
-        grown = -1
-        while grown != r:
-            grown = r
-            for i, mask in enumerate(without):
-                r |= (r & mask) << (1 << i) & cheap
-        reached.append(r)
-    return reached
-
-
 def pathwidth_exact(
     graph: BipartiteGraph, cap: int = DEFAULT_PATHWIDTH_CAP
 ) -> tuple[int, tuple[str, ...]]:
@@ -302,44 +212,7 @@ def pathwidth_exact(
     step takes the lower-indexed of the next live removal and the lowest
     isolated vertex left.  The order's decomposition has exactly this width.
     """
-    verts = graph.vertices
-    if not verts:
-        raise GraphError("pathwidth is undefined for the empty graph")
-    if len(verts) > cap:
-        raise CapExceededError(f"{len(verts)} vertices exceeds pathwidth cap {cap}")
-    nbrs = graph.neighbors
-    live = [i for i, v in enumerate(verts) if nbrs[v]]
-    index = {verts[i]: j for j, i in enumerate(live)}
-    nbr = [0] * len(live)
-    for u, v in graph.edges:
-        nbr[index[u]] |= 1 << index[v]
-        nbr[index[v]] |= 1 << index[u]
-    reached = _reached_families(nbr)
-    width = cost = len(reached) - 1
-
-    # isolated vertices by index, lowest last: each is removed before the
-    # first live removal of a higher index
-    isolated = [i for i in reversed(range(len(verts))) if not nbrs[verts[i]]]
-    order_rev: list[str] = []
-    s = (1 << len(live)) - 1
-    while s:
-        while cost and reached[cost - 1] >> s & 1:
-            cost -= 1
-        t = s
-        while t:
-            low = t & -t
-            if reached[cost] >> (s ^ low) & 1:
-                break
-            t ^= low
-        else:
-            raise CertificateError(f"no vertex attains the optimal separation {cost}")
-        i = live[low.bit_length() - 1]
-        while isolated and isolated[-1] < i:
-            order_rev.append(verts[isolated.pop()])
-        order_rev.append(verts[i])
-        s ^= low
-    order_rev.extend(verts[i] for i in reversed(isolated))
-    return width, tuple(reversed(order_rev))
+    return twolayer._exact.pathwidth_exact(graph, cap)
 
 
 def order_to_decomposition(
@@ -351,42 +224,7 @@ def order_to_decomposition(
 
     So v_i lies in bags i through the position of its last neighbor, if
     later: O(n + m) for the intervals, and the bags are built when read."""
-    if sorted(order) != sorted(graph.vertices):
-        raise GraphError("order is not a permutation of the vertex set")
-    pos = {v: i for i, v in enumerate(order, start=1)}
-    nbrs = graph.neighbors
-    span = {v: (i, max([i, *map(pos.__getitem__, nbrs[v])])) for v, i in pos.items()}
-    return PathDecomposition._from_intervals(span, len(order))
-
-
-# ===================================================================
-# unique-introduction normalization
-# ===================================================================
-
-def _staged_first_bags(pd: PathDecomposition) -> dict[str, int]:
-    """Each vertex's 1-based first bag once introductions are staged one per
-    bag, as `normalize_unique_intro` stages them, in order of first appearance.
-
-    A bag introducing m >= 2 vertices gives them consecutive stages in id
-    order, and a bag introducing none keeps one stage.  The interval pass
-    lists each bag's new vertices together in id order, so a vertex's stage
-    is one past the previous vertex's, plus one for each bag in between.
-    Raises DecompositionError naming the first vertex, in order of first
-    appearance, whose bags are not contiguous.
-    """
-    span, broken = pd._intervals
-    if broken:
-        raise DecompositionError(
-            f"vertex {next(iter(broken))!r} occupies non-contiguous bags; "
-            "cannot normalize"
-        )
-    first: dict[str, int] = {}
-    stage = prev = 0
-    for v, (lo, _) in span.items():
-        stage += lo - prev or 1
-        prev = lo
-        first[v] = stage
-    return first
+    return twolayer._exact.order_to_decomposition(graph, order)
 
 
 def normalize_unique_intro(pd: PathDecomposition) -> PathDecomposition:
@@ -398,27 +236,7 @@ def normalize_unique_intro(pd: PathDecomposition) -> PathDecomposition:
     is the bag itself.  Only contiguity can be checked without the host
     graph; callers wanting full validity run validate_decomposition first.
     """
-    return _staged_bags(pd, _staged_first_bags(pd))
-
-
-def _staged_bags(pd: PathDecomposition, first: dict[str, int]) -> PathDecomposition:
-    """The staged decomposition of pd, given its `_staged_first_bags` map.
-
-    A bag introducing two vertices moves every later first bag up a stage,
-    so pd needs no staging exactly when the last vertex to appear is staged
-    at the bag that introduces it.  Otherwise each bag's last stage is that
-    of its last new vertex, or one past the previous bag's, and each vertex
-    spans the stages from its own to the last of its last bag."""
-    span = pd._intervals[0]
-    last = next(reversed(first), None)
-    if last is None or first[last] == span[last][0]:
-        return pd
-    top = [0] * (pd._count + 1)
-    for v, stage in first.items():
-        top[span[v][0]] = stage
-    top = list(accumulate(top, lambda prev, stage: stage or prev + 1))
-    staged = {v: (stage, top[span[v][1]]) for v, stage in first.items()}
-    return PathDecomposition._from_intervals(staged, top[-1])
+    return twolayer._staging._staged_bags(pd, twolayer._staging._staged_first_bags(pd))
 
 
 # ===================================================================
@@ -455,84 +273,11 @@ def _decomposition_json(pd: PathDecomposition) -> Iterator[str]:
 
 
 def decomposition_from_json(text: str) -> PathDecomposition:
-    pd = _read_decomposition(text)
+    pd = twolayer._reader._read_decomposition(text)
     if pd is not None:
         return pd
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DecompositionError(f"invalid JSON: {exc}") from None
-    return _decomposition_from_object(data)
-
-
-def _read_decomposition(source: str | Callable[[int], str]) -> PathDecomposition | None:
-    """The decomposition, held as intervals, of a ``{"bags": [bag, ...]}``
-    document with str ids, from its text or a text stream's ``read``; None
-    for any other text, which ``json.loads`` then reads and reports on."""
-    if isinstance(source, str):  # the whole text, in one read
-        source = lambda size, rest=[source]: rest.pop() if rest else ""
-    try:
-        span, broken, count = _bag_intervals(_decoded_bags(source))
-    except (TypeError, ValueError):  # an unhashable or unordered id, another
-        return None  # shape, or input that is not str or UTF-8 text
-    if not all(map(isinstance, span, repeat(str))):
-        return None
-    return PathDecomposition._from_intervals(span, count, broken)
-
-
-def _decoded_bags(read: Callable[[int], str]) -> Iterator[list]:
-    """Each bag of a ``{"bags": [bag, ...]}`` document read by ``read``;
-    ValueError at another shape.  A bag that fails to decode is retried
-    after a refill that at least doubles the buffer, so reading is linear."""
-    decode = json.JSONDecoder().raw_decode
-    buf, i = "", 0
-
-    def fill() -> bool:  # drop the text before i and read more; False at the end
-        nonlocal buf, i
-        more = read(max(len(buf) - i, 1 << 16))
-        if more:
-            buf, i = buf[i:] + more, 0
-        return bool(more)
-
-    def at(token: str) -> bool:  # skip whitespace, then step past token if next
-        nonlocal i  # the empty token is met only at the end of the text
-        i = WHITESPACE.match(buf, i).end()
-        while len(buf) - i < max(len(token), 1) and fill():
-            i = WHITESPACE.match(buf, i).end()
-        found = buf.startswith(token, i) if token else i == len(buf)
-        i += found * len(token)
-        return found
-
-    if not all(map(at, ("{", '"bags"', ":", "["))):
-        raise ValueError("not a pd.json document")
-    more = not at("]")
-    while more:
-        at("")
-        if buf.find("]", i) < 0 and fill():  # the bag is cut off
-            continue
-        try:
-            bag, i = decode(buf, i)
-        except json.JSONDecodeError:
-            if fill():
-                continue
-            raise
-        if not isinstance(bag, list):
-            raise ValueError("a bag that is not a list")
-        yield bag
-        more = at(",")
-        if not more and not at("]"):
-            raise ValueError("a bag followed by neither ',' nor ']'")
-    if not (at("}") and at("")):
-        raise ValueError("text after the bags")
-
-
-def _decomposition_from_object(data: object) -> PathDecomposition:
-    if not isinstance(data, dict) or "bags" not in data:
-        raise DecompositionError("decomposition JSON must have a 'bags' key")
-    bags = data["bags"]
-    if not isinstance(bags, list) or not all(
-        isinstance(bag, list) and all(map(isinstance, bag, repeat(str)))
-        for bag in bags
-    ):
-        raise DecompositionError("'bags' must be a list of lists of ids")
-    return PathDecomposition(tuple(tuple(bag) for bag in bags))
+    return twolayer._reader._decomposition_from_object(data)

@@ -461,11 +461,11 @@ def test_st_profile_is_pareto_maximal_and_achievable():
 def test_split_witness_raises_when_a_quadrant_is_too_small():
     """The quadrant size check is a raise, not an assert, so it also runs
     under `python -O`."""
-    from twolayer import analysis
+    from twolayer import _witness
 
     d, _, _ = _parallel_bundles()
     with pytest.raises(tl.CertificateError, match="holds no"):
-        analysis._st_witness(d, (0, 0, False), 1, 1)
+        _witness._st_witness(d, (0, 0, False), 1, 1)
 
 
 def test_st_profile_respects_caps():
@@ -546,11 +546,11 @@ def ref_quadrant_tables(d):
 
 
 def ref_quadrant_chain(d, keep, size):
-    from twolayer import analysis
+    from twolayer import _witness
 
     items = [(x, y, e) for x, y, e in d._by_rank if keep(x, y)]
     items.sort(key=lambda c: (c[0], -c[1]))
-    _, idx = analysis._lis_strict([c[1] for c in items])
+    _, idx = _witness._lis_strict([c[1] for c in items])
     assert len(idx) >= size
     return tuple(items[i][2] for i in idx[:size])
 
@@ -634,7 +634,7 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
     take one cap for both sides, so the split scan answers the asymmetric
     caps directly.  The dense drawings realize (4, 4), so at caps 1-4 the
     scan stops at its capped pair."""
-    from twolayer import analysis
+    from twolayer import _witness, analysis
 
     edgeless = no_vertices = with_edges = 0
     fans = [tl.star_fan_drawing(n)[1] for n in range(1, 25)]
@@ -664,7 +664,7 @@ def test_st_search_matches_full_grid_reference(monkeypatch):
             frontier = analysis._pareto_max(splits)
             assert frontier == ref_st_profile(tables, s_cap, t_cap), (d, s_cap, t_cap)
             for s, t in frontier:
-                got = analysis._st_witness(d, splits[(s, t)], s, t)
+                got = _witness._st_witness(d, splits[(s, t)], s, t)
                 assert got == ref_st_crossing_exists(d, tables, s, t), (d, s, t)
     # drawings with edges and edgeless ranks, edgeless drawings and one
     # drawing without vertices all occur

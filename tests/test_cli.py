@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 import twolayer as tl
-from twolayer import cli, pathdecomp
+from twolayer import _reader, cli
 from twolayer.cli import _output, _write, main
 
 from conftest import record_bag_builds, record_interval_passes
@@ -140,12 +140,12 @@ def test_check_pd_makes_one_interval_pass(capsys, tmp_path, monkeypatch):
     pd_path = tmp_path / "pd.json"
     pd_path.write_text(tl.decomposition_to_json(tl.decompose_drawing(d)[0]))
     reads, bag_passes = [], []
-    real_reader, real_pass = pathdecomp._read_decomposition, pathdecomp._bag_intervals
+    real_reader, real_pass = _reader._read_decomposition, _reader._bag_intervals
     monkeypatch.setattr(
-        pathdecomp, "_read_decomposition", lambda *a: reads.append(a) or real_reader(*a)
+        _reader, "_read_decomposition", lambda *a: reads.append(a) or real_reader(*a)
     )
     monkeypatch.setattr(
-        pathdecomp, "_bag_intervals", lambda bags: bag_passes.append(bags) or real_pass(bags)
+        _reader, "_bag_intervals", lambda bags: bag_passes.append(bags) or real_pass(bags)
     )
     passes = record_interval_passes(monkeypatch)
     code, out, _ = run(
@@ -157,9 +157,10 @@ def test_check_pd_makes_one_interval_pass(capsys, tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def wide_pd_dir(tmp_path_factory):
-    """pd.json (6.4 MB) and graph.json of random_drawing(400, 400, 0.0125, 1),
-    and broken.json, pd.json with its first bag repeated at the end, so that
-    the vertices of that bag are not contiguous."""
+    """pd.json (6.4 MB) and graph.json of random_drawing(400, 400, 0.0125, 1);
+    broken.json, pd.json with its first bag repeated at the end, so that the
+    vertices of that bag are not contiguous; and keyed.json, pd.json with
+    keys after the bags."""
     g, d = tl.random_drawing(400, 400, 0.0125, 1)
     path = tmp_path_factory.mktemp("wide")
     pd = tl.decompose_drawing(d)[0]
@@ -167,6 +168,9 @@ def wide_pd_dir(tmp_path_factory):
         tl.decomposition_to_json(pd, fh)
     with open(path / "broken.json", "w", encoding="utf-8") as fh:
         tl.decomposition_to_json(tl.PathDecomposition((*pd.bags, pd.bags[0])), fh)
+    text = (path / "pd.json").read_text(encoding="utf-8")
+    keys = ',\n  "width": %d,\n  "source": {"command": "decompose"}\n}' % pd.width
+    (path / "keyed.json").write_text(text[: text.rindex("}")].rstrip() + keys)
     (path / "g.json").write_text(tl.graph_to_json(g))
     return path
 
@@ -198,17 +202,18 @@ def test_pd_json_readers_build_no_bag_list_when_bags_are_not_contiguous(
     assert built == []
 
 
-@pytest.mark.parametrize("name", ["pd.json", "broken.json"])
+@pytest.mark.parametrize("name", ["pd.json", "broken.json", "keyed.json"])
 def test_reading_and_validating_pd_json_holds_a_small_part_of_it(wide_pd_dir, name):
     """Reading the 6.4 MB pd.json and validating it peaks below a quarter
     of the file (0.5 MiB traced), where the whole text and every bag were
-    held at once before; so does the copy whose first bag comes back at the
-    end, which json.loads read whole, one str per id occurrence."""
+    held at once before; so do the copy whose first bag comes back at the
+    end and the copy with keys after the bags, both of which json.loads
+    read whole, one str per id occurrence."""
     graph = tl.graph_from_json((wide_pd_dir / "g.json").read_text())
     path = wide_pd_dir / name
     tracemalloc.start()
     try:
-        pd = cli._read_pd(str(path), tl.decomposition_from_json)
+        pd = _reader._read_pd(str(path), tl.decomposition_from_json)
         violations = tl.validate_decomposition(graph, pd)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -216,6 +221,24 @@ def test_reading_and_validating_pd_json_holds_a_small_part_of_it(wide_pd_dir, na
     assert {v.kind for v in violations} == ({"contiguity"} if name == "broken.json" else set())
     assert path.stat().st_size > 6_000_000
     assert peak < path.stat().st_size / 4, peak
+
+
+@pytest.mark.parametrize("command", ["check-pd", "layout", "render"])
+def test_pd_json_readers_skip_keys_after_the_bags(capsys, monkeypatch, wide_pd_dir, command):
+    """Keys after the bags are skipped by the stream reader, so each command
+    decodes the file once and writes what it writes for the same bags alone,
+    the bytes that the json.loads path gave."""
+    loads = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: loads.append(text) or real_loads(text))
+    outputs = []
+    for name in ("pd.json", "keyed.json"):
+        argv = [command, "--in", str(wide_pd_dir / name)]
+        if command != "render":
+            argv += ["--graph", str(wide_pd_dir / "g.json")]
+        outputs.append(run(capsys, *argv))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert not [text for text in loads if '"bags"' in text]
 
 
 def test_pd_json_readers_read_a_pipe_once(capsys, tmp_path, tree_drawing_file):
@@ -578,7 +601,7 @@ def test_render_dispatches_on_payload(
     stream reader, anything else by json.loads."""
     decodes = []
     real_loads = json.loads
-    real_reader = pathdecomp._read_decomposition
+    real_reader = _reader._read_decomposition
 
     def loads(text):
         decodes.append("json.loads")
@@ -591,7 +614,7 @@ def test_render_dispatches_on_payload(
         return pd
 
     monkeypatch.setattr(json, "loads", loads)
-    monkeypatch.setattr(pathdecomp, "_read_decomposition", reader)
+    monkeypatch.setattr(_reader, "_read_decomposition", reader)
     code, out, _ = run(capsys, "render", "--in", str(tree_drawing_file))
     assert code == 0 and out.startswith("<svg")
     assert decodes == ["json.loads"]

@@ -45,6 +45,10 @@ PREVIOUS_ALL = [
     "validate_decomposition", "width_bound",
 ]
 SUBMODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if not p.stem.startswith("_"))
+# The bodies that only some commands run, each imported where it is used.
+PRIVATE_MODULES = sorted(
+    p.stem for p in PACKAGE_DIR.glob("_*.py") if not p.stem.startswith("__")
+)
 
 
 def fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
@@ -110,6 +114,16 @@ def test_unknown_top_level_name_raises_attribute_error():
         exec("from twolayer import no_such_name", {})
 
 
+def test_every_private_body_module_is_reachable_from_the_package(tmp_path):
+    """Stubs call their bodies as `twolayer.<module>.<name>`; the package
+    imports such a module on first access only if it names it."""
+    assert tl._PRIVATE == {m for m in PRIVATE_MODULES if not m.startswith("_cmd_")}
+    assert loaded_after("import sys, twolayer\ntwolayer._exact", tmp_path) == [
+        "twolayer", "twolayer._exact", "twolayer.errors", "twolayer.graphs",
+        "twolayer.pathdecomp",
+    ]
+
+
 # ------------------------------------------------------- import structure
 
 def test_import_twolayer_loads_no_submodule(tmp_path):
@@ -120,7 +134,7 @@ def test_import_twolayer_loads_no_submodule(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("module", SUBMODULES)
+@pytest.mark.parametrize("module", SUBMODULES + PRIVATE_MODULES)
 def test_each_module_imports_on_its_own(tmp_path, module):
     """A cycle between modules would fail here for the one imported first,
     where the lazy imports could hide it until some command ran."""
@@ -131,36 +145,125 @@ def test_each_module_imports_on_its_own(tmp_path, module):
 BASE = ["twolayer", "twolayer.cli", "twolayer.errors", "twolayer.graphs"]
 
 
-@pytest.mark.parametrize(
-    "argv, extra",
-    [
-        (["gen", "tree", "--height", "2"], ["generators"]),
-        (["gen", "tree", "--height", "2", "--format", "svg"], ["generators", "render"]),
-        (["analyze", "--in", "d.json"], ["analysis"]),
-        (["decompose", "--in", "d.json"], ["analysis", "decompose", "pathdecomp"]),
-        (["layout", "--in", "pd.json", "--graph", "g.json"],
-         ["analysis", "layout", "pathdecomp"]),
-        (["pathwidth", "--in", "g.json"], ["pathdecomp"]),
-        (["check-pd", "--in", "pd.json", "--graph", "g.json"], ["pathdecomp"]),
-        (["render", "--in", "pd.json"], ["pathdecomp", "render"]),
-        (["render", "--in", "d.json"], ["pathdecomp", "render"]),
-        (["fuzz", "--trials", "2"],
-         ["analysis", "decompose", "fuzz", "layout", "pathdecomp"]),
-    ],
-)
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+def write_inputs(tmp_path: Path) -> None:
+    """d.json, g.json and pd.json of complete_binary_tree(2)."""
     graph, drawing = tl.complete_binary_tree(2)
     (tmp_path / "d.json").write_text(tl.drawing_to_json(drawing))
     (tmp_path / "g.json").write_text(tl.graph_to_json(graph))
     pd, _ = tl.decompose_drawing(drawing)
     (tmp_path / "pd.json").write_text(tl.decomposition_to_json(pd))
-    code = (
+
+
+def main_code(argv: list[str]) -> str:
+    return (
         "import sys\nfrom twolayer.cli import main\n"
         f"assert main({json.dumps([*argv, '--out', 'out.txt'])}) == 0"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["gen", "tree", "--height", "2"], ["_cmd_gen", "generators"]),
+        (["gen", "tree", "--height", "2", "--format", "svg"],
+         ["_cmd_gen", "generators", "render"]),
+        (["analyze", "--in", "d.json"], ["_cmd_analyze", "_witness", "analysis"]),
+        (["decompose", "--in", "d.json"],
+         ["_cmd_decompose", "_cover", "analysis", "decompose", "pathdecomp"]),
+        (["layout", "--in", "pd.json", "--graph", "g.json"],
+         ["_cmd_layout", "_reader", "_staging", "_witness", "analysis", "layout", "pathdecomp"]),
+        (["pathwidth", "--in", "g.json"], ["_cmd_pathwidth", "_exact", "pathdecomp"]),
+        (["check-pd", "--in", "pd.json", "--graph", "g.json"],
+         ["_cmd_check_pd", "_reader", "pathdecomp"]),
+        (["render", "--in", "pd.json"], ["_cmd_render", "_reader", "pathdecomp", "render"]),
+        (["render", "--in", "d.json"], ["_cmd_render", "_reader", "pathdecomp", "render"]),
+        (["fuzz", "--trials", "2"],
+         ["_checks", "_cmd_fuzz", "_cover", "_exact", "_random", "_staging", "_witness",
+          "analysis", "decompose", "fuzz", "layout", "pathdecomp"]),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    """Each command loads its own CLI module and the modules whose code it
+    runs.  decompose and analyze, the commands that a drawing goes through,
+    load neither the exact search, nor the pd.json reader, nor the audit,
+    nor another command's CLI module."""
+    write_inputs(tmp_path)
     expected = sorted(BASE + [f"twolayer.{m}" for m in extra])
-    assert loaded_after(code, tmp_path) == expected
+    loaded = loaded_after(main_code(argv), tmp_path)
+    assert loaded == expected
     assert (tmp_path / "out.txt").stat().st_size > 0
+    if argv[0] in ("decompose", "analyze"):
+        unrun = {"twolayer._exact", "twolayer._reader", "twolayer._checks"}
+        assert not unrun & set(loaded)
+        commands = [m for m in loaded if m.startswith("twolayer._cmd_")]
+        assert commands == [f"twolayer._cmd_{argv[0]}"]
+
+
+# The AST nodes of the twolayer modules that each command of the benchmark's
+# workloads compiles on complete_binary_tree(2)-sized inputs: the count reached
+# (in the comment) plus 5 %.  When every body sat in its public module,
+# decompose compiled 16,186 and analyze 9,784.  A body that a command never
+# runs, pulled back into a module that the command loads, fails here.
+COMPILED_NODES = {
+    "decompose": 10751,  # 10,239
+    "analyze": 6970,  # 6,638
+    "check-pd": 6677,  # 6,359
+    "layout": 11057,  # 10,530
+    "render": 7424,  # 7,070
+    "pathwidth": 6414,  # 6,108
+    "fuzz": 17597,  # 16,759
+}
+WORKLOAD_ARGV = {
+    "decompose": ["decompose", "--in", "d.json", "--cert", "c.json"],
+    "analyze": ["analyze", "--in", "d.json"],
+    "check-pd": ["check-pd", "--in", "pd.json", "--graph", "g.json"],
+    "layout": ["layout", "--in", "pd.json", "--graph", "g.json", "--cert", "c.json"],
+    "render": ["render", "--in", "pd.json"],
+    "pathwidth": ["pathwidth", "--in", "g.json"],
+    "fuzz": ["fuzz", "--trials", "20", "--na-max", "6", "--nb-max", "6"],
+}
+
+
+@pytest.mark.parametrize("command", COMPILED_NODES)
+def test_each_command_compiles_at_most_its_budget(tmp_path, command):
+    write_inputs(tmp_path)
+    code = main_code(WORKLOAD_ARGV[command]) + (
+        "\nprint(sorted(m.__file__ for n, m in sys.modules.items()"
+        " if n.startswith('twolayer')))"
+    )
+    proc = fresh_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    files = ast.literal_eval(proc.stdout.splitlines()[-1])
+    nodes = sum(
+        sum(1 for _ in ast.walk(ast.parse(Path(f).read_text(encoding="utf-8"))))
+        for f in files
+    )
+    assert nodes <= COMPILED_NODES[command], nodes
+
+
+# Writing, reading or forcing compiled bytecode is the environment's choice.
+BYTECODE_NAMES = {"dont_write_bytecode", "pycache_prefix", "py_compile", "compileall", "marshal"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE_DIR.glob("*.py")))
+def test_no_module_touches_the_bytecode_cache(module):
+    """Start-up falls by compiling less code, not by caching it: no module
+    names the interpreter's bytecode settings or the modules that write or
+    read bytecode, as a name, an attribute, an import or a string."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(n for n in BYTECODE_NAMES if n in node.value)
+    assert not names & BYTECODE_NAMES
 
 
 # Loaded by `dataclasses` (with `copy`); no command needs them.

@@ -68,7 +68,7 @@ def test_layout_checks_contiguity_once(monkeypatch):
     """Layout reads each vertex's staged first bag off the input's bag
     intervals: one interval pass over its input serves validation and
     staging, and layout neither builds nor scans a staged decomposition."""
-    from twolayer import layout, pathdecomp
+    from twolayer import _staging, layout, pathdecomp
 
     g, _ = tl.grid_graph(3)
     _, pd = _exact_pd(g)
@@ -87,7 +87,7 @@ def test_layout_checks_contiguity_once(monkeypatch):
     for module, name in (
         (pathdecomp, "normalize_unique_intro"),
         (pathdecomp, "intro_intervals"),
-        (pathdecomp, "_staged_bags"),
+        (_staging, "_staged_bags"),
         (layout, "_staged_bags"),
     ):
         monkeypatch.setattr(module, name, staged_decomposition)

@@ -18,8 +18,8 @@ from twolayer import (
     FuzzConfig,
     GraphError,
     PathDecomposition,
+    _reader,
     fuzz,
-    pathdecomp,
 )
 
 from conftest import decompositions, graphs
@@ -299,14 +299,14 @@ def test_pathwidth_order_rebuild_raises_on_inconsistent_table(monkeypatch):
     raise CertificateError (an `assert` would vanish under `python -O`).
     The families come from one private helper; the hook keeps its true R_0
     and adds V to it."""
-    from twolayer import pathdecomp
+    from twolayer import _exact
 
-    search = pathdecomp._reached_families
+    search = _exact._reached_families
 
     def zero_for_full_set(nbr):
         return [search(nbr)[0] | 1 << ((1 << len(nbr)) - 1)]
 
-    monkeypatch.setattr(pathdecomp, "_reached_families", zero_for_full_set)
+    monkeypatch.setattr(_exact, "_reached_families", zero_for_full_set)
     path = BipartiteGraph(("a", "c"), ("b",), (("a", "b"), ("c", "b")))
     assert search([0b010, 0b101, 0b010])[0] == 1  # only {} costs 0
     with pytest.raises(tl.CertificateError, match="optimal separation 0"):
@@ -465,17 +465,17 @@ def test_edgeless_pathwidth_allocates_one_table_entry(monkeypatch):
     as `dp_pathwidth` does on the smaller edgeless graphs of the corpus),
     and its search runs over no live vertex, so each family has the single
     bit of the empty live set."""
-    from twolayer import pathdecomp
+    from twolayer import _exact
 
     calls = []
-    search = pathdecomp._reached_families
+    search = _exact._reached_families
 
     def recording(nbr):
         families = search(nbr)
         calls.append((len(nbr), families))
         return families
 
-    monkeypatch.setattr(pathdecomp, "_reached_families", recording)
+    monkeypatch.setattr(_exact, "_reached_families", recording)
     g = BipartiteGraph(
         tuple(f"a{i}" for i in range(10)), tuple(f"b{i}" for i in range(10)), ()
     )
@@ -527,9 +527,9 @@ def test_pathwidth_equals_bucket_search_tuple():
 def test_reached_families_of_one_vertex():
     """A lone vertex (no neighbours) gives the 2-bit family {{}, {0}} at
     width 0; a graph never has one live vertex, so only the helper meets it."""
-    from twolayer import pathdecomp
+    from twolayer import _exact
 
-    assert pathdecomp._reached_families([0]) == [0b11]
+    assert _exact._reached_families([0]) == [0b11]
 
 
 def test_complete_bipartite_10_10_pathwidth_peak_memory():
@@ -590,7 +590,7 @@ def _cost_levels(nbr):
 def test_reached_families_are_the_cost_levels():
     """Each family R_w the bit-parallel search builds is {S : f(S) <= w} of
     the subset recurrence."""
-    from twolayer import pathdecomp
+    from twolayer import _exact
 
     rng = random.Random(23)
     for _ in range(60):
@@ -598,7 +598,7 @@ def test_reached_families_are_the_cost_levels():
         live = [v for v in g.vertices if g.neighbors[v]]
         index = {v: i for i, v in enumerate(live)}
         nbr = [sum(1 << index[w] for w in g.neighbors[v]) for v in live]
-        assert pathdecomp._reached_families(nbr) == _cost_levels(nbr), g
+        assert _exact._reached_families(nbr) == _cost_levels(nbr), g
 
 
 def test_order_to_decomposition_requires_permutation():
@@ -759,7 +759,7 @@ def _reference_read(text):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DecompositionError(f"invalid JSON: {exc}") from None
-        return pathdecomp._decomposition_from_object(data)
+        return _reader._decomposition_from_object(data)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -787,6 +787,11 @@ PLAIN_TEXTS = [
     '{"bags": [["b1", "a0", "b1"], ["b1", "b1"]]}',
     '{"bags": [["\\u0061\\u0030", "a0"], ["a0", "x\\n\\"y\\""]]}',
     '{"bags": [["\\ud83d\\ude00", "\U0001f600"], ["\U0001f600", "\\u00e9t\\u00e9"]]}',
+    # keys after the bags, whose values are skipped
+    '{"bags": [["a0"]], "x": 1}',
+    '{"bags": [["a0"]] , "x" : 12345 ,"y":true, "z": -1.5e3 }',
+    '{"bags": [["a0", "b1"]], "bag": {"bags": [["b1"]]}, "x": [1, "]", [null]]}',
+    '{"bags": [], "x": "a \\"}\\" b"}',
 ]
 
 # Everything else, which json.loads reads and reports on.
@@ -796,8 +801,16 @@ OTHER_TEXTS = [
     '{"bags":\u2028[["a0"]]}',
     '{"bags": [["a0"]\u00a0]}',
     '{"x": 1, "bags": [["a0"]]}',
-    '{"bags": [["a0"]], "x": 1}',
     '{"bags": [["a0"]], "bags": [["b1"]]}',
+    '{"bags": [["a0"]], "x": 1, "\\u0062ags": [["b1"]]}',
+    '{"bags": [["a0"]], "x": }',
+    '{"bags": [["a0"]], "x": 1,}',
+    '{"bags": [["a0"]], "x" 1}',
+    '{"bags": [["a0"]], "x": 1 "y": 2}',
+    '{"bags": [["a0"]], 1: 2}',
+    '{"bags": [["a0"]], "x": 12',
+    '{"bags": [["a0"]], "x": [1, 2}',
+    '{"bags": [["a0"]], "x": 1}}',
     '{"\\u0062ags": [["a0"]]}',
     json.dumps({"pathwidth": 1, "order": ["a0", "b1"], "bags": [["a0", "b1"]]}, indent=2),
     '{"bags": [["a0"], "b1"]}',
@@ -848,7 +861,7 @@ def _streamed(text, chunk=None):
     for if None."""
     stream = io.StringIO(text)
     read = stream.read if chunk is None else lambda size: stream.read(min(size, chunk))
-    return pathdecomp._read_decomposition(read)
+    return _reader._read_decomposition(read)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, None])
@@ -930,7 +943,7 @@ def test_reader_gives_what_json_loads_gave(text):
 
 @pytest.mark.parametrize("text", PLAIN_TEXTS + NONCONTIGUOUS_TEXTS)
 def test_plain_documents_keep_one_str_per_id(text):
-    pd = pathdecomp._read_decomposition(text)
+    pd = _reader._read_decomposition(text)
     assert pd is not None
     ids = [v for bag in pd.bags for v in bag]
     assert len(set(map(id, ids))) == len(pd.vertices)
@@ -938,7 +951,7 @@ def test_plain_documents_keep_one_str_per_id(text):
 
 @pytest.mark.parametrize("text", OTHER_TEXTS)
 def test_other_texts_go_through_json_loads(text):
-    assert pathdecomp._read_decomposition(text) is None
+    assert _reader._read_decomposition(text) is None
 
 
 def test_reading_a_wide_decomposition_peaks_below_2_mib():
