@@ -1,12 +1,11 @@
 """Reading pd.json: its bags as one interval per vertex, taken one bag at a
 time from a text or a text stream, or else from what ``json.loads`` gives;
-and the bags and bag intervals of decompositions built from bag lists.  Only
-the commands that read pd.json, and callers that build from bags, load it."""
+and the one pass that turns any bag list into its bag intervals.  Only the
+commands that read pd.json, and callers that build from bags, load it."""
 
 import json
 from itertools import repeat
 from json.decoder import WHITESPACE
-from operator import eq, lt
 from typing import Callable, Iterable, Iterator
 
 from .errors import DecompositionError
@@ -34,8 +33,11 @@ def _read_pd(
 
 
 def _bag_intervals(bags: Iterable[Iterable[str]]) -> tuple[dict, dict, int]:
-    """``_intervals`` of ``bags`` and their number.  A bag costs C-level set
-    differences with the one before; only ids that enter or leave cost more."""
+    """Each vertex's first and last 1-based bag, and the increasing bag
+    indices of the vertices whose bags are not contiguous, both keyed in
+    (lo, id) order, the order of first appearance; and the number of bags.
+    A bag costs C-level set differences with the one before; only ids that
+    enter or leave cost more."""
     lo: dict[str, int] = {}
     hi: dict[str, int] = {}
     missed: dict[str, set[int]] = {}
@@ -57,24 +59,6 @@ def _bag_intervals(bags: Iterable[Iterable[str]]) -> tuple[dict, dict, int]:
     return span, broken, count
 
 
-def _sorted_bags(bags: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
-    # Sort only a bag that is not strictly ascending; equal ids end adjacent.
-    normalized = []
-    for bag in bags:
-        ordered = tuple(bag)
-        try:
-            ascending = all(map(lt, ordered, ordered[1:]))
-        except TypeError:  # sorted raises it, as it always has
-            ascending = False
-        if not ascending:
-            ordered = sorted(ordered)
-            if any(map(eq, ordered, ordered[1:])):
-                ordered = sorted(set(ordered))
-            ordered = tuple(ordered)
-        normalized.append(ordered)
-    return tuple(normalized)
-
-
 def _read_decomposition(source: str | Callable[[int], str]) -> PathDecomposition | None:
     """The decomposition, held as intervals, of a ``{"bags": [bag, ...]}``
     document with str ids, from its text or a text stream's ``read``; None
@@ -83,8 +67,10 @@ def _read_decomposition(source: str | Callable[[int], str]) -> PathDecomposition
         source = lambda size, rest=[source]: rest.pop() if rest else ""
     try:
         span, broken, count = _bag_intervals(_decoded_bags(source))
-    except (TypeError, ValueError):  # an unhashable or unordered id, another
-        return None  # shape, or input that is not str or UTF-8 text
+    except (TypeError, ValueError, RecursionError):
+        # an unhashable or unordered id, another shape, nesting too deep to
+        # decode, or input that is not str or UTF-8 text
+        return None
     if not all(map(isinstance, span, repeat(str))):
         return None
     return PathDecomposition._from_intervals(span, count, broken)
@@ -156,4 +142,4 @@ def _decomposition_from_object(data: object) -> PathDecomposition:
         for bag in bags
     ):
         raise DecompositionError("'bags' must be a list of lists of ids")
-    return PathDecomposition(tuple(tuple(bag) for bag in bags))
+    return PathDecomposition(bags)

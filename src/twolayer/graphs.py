@@ -388,7 +388,7 @@ def _rows(rows: Sequence, sizes: list[int], lengths: set[int], level: int) -> It
 def _load_object(text: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise GraphError("expected a JSON object")

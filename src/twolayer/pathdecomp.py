@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -30,15 +30,15 @@ from .graphs import (
 
 
 class PathDecomposition(_Frozen):
-    """An ordered bag sequence.  Bags are kept as sorted vertex-id tuples so
-    serialization is canonical; bag indices are 1-based in all reporting.
-    Builders give one bag interval per vertex; the bags are built when read."""
+    """An ordered bag sequence, held as one bag interval per vertex; bag
+    indices are 1-based in all reporting.  The bags are built when read,
+    each a sorted vertex-id tuple, so serialization is canonical."""
 
     _fields = ("bags",)
 
     def __init__(self, bags: Iterable[Iterable[str]]) -> None:
-        bags = twolayer._reader._sorted_bags(bags)
-        vars(self).update(bags=bags, _count=len(bags))
+        span, broken, count = twolayer._reader._bag_intervals(map(sorted, bags))
+        vars(self).update(_intervals=(span, broken), _count=count)
 
     @classmethod
     def _from_intervals(cls, span: dict, count: int, broken: dict | None = None):
@@ -53,11 +53,8 @@ class PathDecomposition(_Frozen):
         return tuple(self._sweep())
 
     def _sweep(self) -> Iterator[tuple[str, ...]]:
-        """The bags one at a time: the built ones, or else from a sweep that
-        keeps the ids held sorted and leaves the bags unbuilt."""
-        if "bags" in vars(self):
-            yield from self.bags
-            return
+        """The bags one at a time, from a sweep that keeps the ids held
+        sorted and leaves the bags unbuilt."""
         enter: list[list[str]] = [[] for _ in range(self._count + 2)]
         leave: list[list[str]] = [[] for _ in range(self._count + 2)]
         for v, (lo, hi) in self._runs():
@@ -82,9 +79,7 @@ class PathDecomposition(_Frozen):
 
     @cached_property
     def _sizes(self) -> list[int]:
-        """Bag sizes by 1-based index, 0 at either end; a sweep unless built."""
-        if "bags" in vars(self):
-            return [0, *map(len, self.bags), 0]
+        """Bag sizes by 1-based index, 0 at either end."""
         delta = [0] * (self._count + 2)
         for _, (lo, hi) in self._runs():
             delta[lo] += 1
@@ -99,16 +94,7 @@ class PathDecomposition(_Frozen):
 
     @cached_property
     def vertices(self) -> frozenset[str]:
-        if "bags" in vars(self):
-            return frozenset(chain.from_iterable(self.bags))
         return frozenset(self._intervals[0])
-
-    @cached_property
-    def _intervals(self) -> tuple[dict[str, tuple[int, int]], dict[str, list[int]]]:
-        """Each vertex's first and last 1-based bag, and the increasing bag
-        indices of the vertices whose bags are not contiguous, both keyed in
-        (lo, id) order, the order of first appearance."""
-        return twolayer._reader._bag_intervals(self.bags)[:2]
 
 
 class Violation(NamedTuple):
@@ -148,8 +134,8 @@ def validate_decomposition(
     [lo, hi] of bag indices it spans.  An edge lies in some bag only if its
     endpoints' intervals overlap, max(lo) <= min(hi), and exactly then when
     both endpoints' bags are contiguous; only an edge with a non-contiguous
-    endpoint compares index sets.  The cost is O(n + m), plus the interval
-    pass over the bags when they are given as bags.
+    endpoint compares index sets.  The cost is O(n + m): every decomposition
+    holds its intervals from the time it is built.
     """
     span, broken = pd._intervals
     vset = set(graph.vertices)
@@ -246,8 +232,8 @@ def normalize_unique_intro(pd: PathDecomposition) -> PathDecomposition:
 def decomposition_to_json(pd: PathDecomposition, out: TextIO | None = None) -> str | None:
     """``{"bags": [...]}`` indented by 2, byte for byte as ``json.dumps(...,
     indent=2)`` writes it.  Returns the text, or writes it to ``out`` one bag
-    at a time and returns None.  Bags that have not been built are taken one
-    at a time from the interval sweep and stay unbuilt.
+    at a time and returns None.  The bags are taken one at a time from the
+    interval sweep and stay unbuilt.
 
     Every id must be a str: another id raises TypeError before anything is
     written, where ``json.dumps`` would have written it as a number or a
@@ -278,6 +264,6 @@ def decomposition_from_json(text: str) -> PathDecomposition:
         return pd
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DecompositionError(f"invalid JSON: {exc}") from None
     return twolayer._reader._decomposition_from_object(data)

@@ -19,21 +19,16 @@ def crossing_pairs(drawing: tl.TwoLayerDrawing) -> list[tuple[tl.Edge, tl.Edge]]
     ]
 
 
-def record_interval_passes(monkeypatch, alter=None) -> list[tl.PathDecomposition]:
-    """Patch the decomposition's cached interval pass so that each run of it
-    appends its decomposition to the returned list.  `alter(span, broken)`,
-    when given, rewrites the pass's two maps."""
-    real = tl.PathDecomposition.__dict__["_intervals"].func
-    passes: list[tl.PathDecomposition] = []
+def record_interval_passes(monkeypatch) -> list:
+    """Patch the one pass that turns bags into bag intervals so that each run
+    of it appends the bags it was given to the returned list."""
+    from twolayer import _reader
 
-    def recorded(pd):
-        passes.append(pd)
-        maps = real(pd)
-        return alter(*maps) if alter else maps
-
-    prop = cached_property(recorded)
-    prop.__set_name__(tl.PathDecomposition, "_intervals")
-    monkeypatch.setattr(tl.PathDecomposition, "_intervals", prop)
+    real = _reader._bag_intervals
+    passes: list = []
+    monkeypatch.setattr(
+        _reader, "_bag_intervals", lambda bags: passes.append(bags) or real(bags)
+    )
     return passes
 
 

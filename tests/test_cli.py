@@ -133,26 +133,23 @@ def test_decompose_then_check(capsys, tmp_path, tree_drawing_file):
 
 def test_check_pd_makes_one_interval_pass(capsys, tmp_path, monkeypatch):
     """pd.json is decoded once, by the stream reader, whose interval pass is
-    the only one: the cached pass over built bags never runs."""
+    the only one."""
     g, d = tl.grid_graph(3)
     graph_path = tmp_path / "g.json"
     graph_path.write_text(tl.graph_to_json(g))
     pd_path = tmp_path / "pd.json"
     pd_path.write_text(tl.decomposition_to_json(tl.decompose_drawing(d)[0]))
-    reads, bag_passes = [], []
-    real_reader, real_pass = _reader._read_decomposition, _reader._bag_intervals
+    reads = []
+    real_reader = _reader._read_decomposition
     monkeypatch.setattr(
         _reader, "_read_decomposition", lambda *a: reads.append(a) or real_reader(*a)
-    )
-    monkeypatch.setattr(
-        _reader, "_bag_intervals", lambda bags: bag_passes.append(bags) or real_pass(bags)
     )
     passes = record_interval_passes(monkeypatch)
     code, out, _ = run(
         capsys, "check-pd", "--in", str(pd_path), "--graph", str(graph_path)
     )
     assert code == 0 and json.loads(out)["ok"] is True
-    assert len(reads) == len(bag_passes) == 1 and passes == []
+    assert len(reads) == len(passes) == 1
 
 
 @pytest.fixture(scope="module")
@@ -812,6 +809,35 @@ def test_render_malformed_json_is_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "render", "--in", str(bad))
     assert code == 1
     assert err.startswith("error: invalid JSON")
+
+
+@pytest.mark.parametrize("shape", ["{\"bags\": %s}", "%s"], ids=["object", "array"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        *(("check-pd", f) for f in ("--in", "--graph")),
+        *(("layout", f) for f in ("--in", "--graph")),
+        *((c, "--in") for c in ("render", "analyze", "decompose", "pathwidth")),
+    ],
+)
+def test_deeply_nested_json_is_invalid_json(capsys, tmp_path, command, flag, shape):
+    """JSON nested deeper than the decoder recurses is invalid JSON, exit 1,
+    from the stream reader and from the ``json.loads`` fallback alike."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(shape % ("[" * 200_000 + "]" * 200_000))
+    g, d = tl.grid_graph(2)
+    pd_path = tmp_path / "pd.json"
+    pd_path.write_text(tl.decomposition_to_json(tl.decompose_drawing(d)[0]))
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(tl.graph_to_json(g))
+    files = {"--in": pd_path, "--graph": graph_path, flag: deep}
+    argv = [command, "--in", str(files["--in"])]
+    if command in ("check-pd", "layout"):
+        argv += ["--graph", str(files["--graph"])]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["render", "check-pd"])

@@ -205,13 +205,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
 # decompose compiled 16,186 and analyze 9,784.  A body that a command never
 # runs, pulled back into a module that the command loads, fails here.
 COMPILED_NODES = {
-    "decompose": 10751,  # 10,239
-    "analyze": 6970,  # 6,638
-    "check-pd": 6677,  # 6,359
-    "layout": 11057,  # 10,530
-    "render": 7424,  # 7,070
-    "pathwidth": 6414,  # 6,108
-    "fuzz": 17597,  # 16,759
+    "decompose": 10641,  # 10,134
+    "analyze": 6975,  # 6,642
+    "check-pd": 6410,  # 6,104
+    "layout": 10789,  # 10,275
+    "render": 7156,  # 6,815
+    "pathwidth": 6304,  # 6,003
+    "fuzz": 17487,  # 16,654
 }
 WORKLOAD_ARGV = {
     "decompose": ["decompose", "--in", "d.json", "--cert", "c.json"],

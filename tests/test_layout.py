@@ -66,8 +66,9 @@ def test_layout_rejects_invalid_decomposition():
 
 def test_layout_checks_contiguity_once(monkeypatch):
     """Layout reads each vertex's staged first bag off the input's bag
-    intervals: one interval pass over its input serves validation and
-    staging, and layout neither builds nor scans a staged decomposition."""
+    intervals, which the one interval pass gave when the input was built:
+    layout runs no pass, and neither builds nor scans a staged
+    decomposition."""
     from twolayer import _staging, layout, pathdecomp
 
     g, _ = tl.grid_graph(3)
@@ -75,7 +76,6 @@ def test_layout_checks_contiguity_once(monkeypatch):
     merged = PathDecomposition(
         (tuple(sorted(set(pd.bags[0]) | set(pd.bags[1]))),) + pd.bags[2:]
     )
-    # staged from an equal copy, so merged's own pass has not run yet
     normalized = tl.normalize_unique_intro(PathDecomposition(merged.bags))
     assert normalized != merged  # its first bag introduces several vertices
     staged_first = {v: lo for v, (lo, _) in tl.intro_intervals(normalized).items()}
@@ -97,8 +97,7 @@ def test_layout_checks_contiguity_once(monkeypatch):
         PathDecomposition, "__init__", lambda p, bags: built.append(p) or init(p, bags)
     )
     _, cert = tl.layout_decomposition(g, merged)
-    assert len(passes) == 1 and passes[0] is merged
-    assert built == []
+    assert passes == [] and built == []
     assert cert.ell == staged_first
 
 
@@ -252,13 +251,13 @@ def test_explain_rejects_invalid_decomposition():
 
 def test_explain_stages_from_its_placement_map(monkeypatch):
     """The staged decomposition comes from the placement map the induced
-    drawing used: one interval pass over the input serves validation and
-    staging."""
+    drawing used: the input's bag intervals, given when it was built, serve
+    validation and staging, and no interval pass runs."""
     g, pd, witness = _crossing_pair_instance()
     merged = PathDecomposition(pd.bags[1:])  # bag 1 introduces a1 and b1
     passes = record_interval_passes(monkeypatch)
     con = tl.explain_oversized_bag(g, merged, witness)
-    assert len(passes) == 1 and passes[0] is merged
+    assert passes == []
     assert con.normalized == tl.normalize_unique_intro(merged)
     assert con.normalized.bags == pd.bags
 

@@ -50,18 +50,56 @@ def test_bags_are_sorted_and_deduped():
 
 
 def test_strictly_ascending_bags_are_kept_as_given():
-    """A bag that is already strictly ascending is neither sorted nor
-    copied; ids that do not compare raise what sorted raises."""
+    """A bag that is already strictly ascending is kept as given; ids that
+    do not compare raise what sorted raises."""
     bag = ("a0", "b1", "b2")
     pd = PathDecomposition([bag, ["b2", "a0"], ("u", "u"), iter(("w", "v"))])
-    assert pd.bags[0] is bag
-    assert pd.bags[1:] == (("a0", "b2"), ("u",), ("v", "w"))
+    assert pd.bags == (bag, ("a0", "b2"), ("u",), ("v", "w"))
     for ids in (("a", 1), (1, "a"), ("b", "a", 1), ("a", "b", None)):
         with pytest.raises(TypeError) as want:
             sorted(ids)
         with pytest.raises(TypeError) as got:
             PathDecomposition([ids])
         assert str(got.value) == str(want.value)
+
+
+@given(st.lists(st.lists(st.sampled_from(("a0", "a1", "b2", "b10", "v", "w")), max_size=7),
+                max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_bag_list_is_held_as_its_intervals(bags):
+    """Bags with repeated and unsorted ids, empty bags and ids that come back
+    to a bag read back sorted and deduplicated, from intervals equal, key
+    order included, to a scan of each id's occurrences."""
+    pd = PathDecomposition(bags)
+    where: dict[str, list[int]] = {}
+    for i, bag in enumerate(bags, start=1):
+        for v in sorted(set(bag)):
+            where.setdefault(v, []).append(i)
+    span = {v: (idx[0], idx[-1]) for v, idx in where.items()}
+    broken = {v: idx for v, idx in where.items() if idx[-1] - idx[0] + 1 != len(idx)}
+    assert [list(m.items()) for m in pd._intervals] == [
+        list(span.items()), list(broken.items())
+    ]
+    assert pd.bags == tuple(tuple(sorted(set(b))) for b in bags)
+
+
+def test_bag_list_and_intervals_are_held_alike():
+    """A decomposition built from its bags holds what one built from its
+    bag intervals holds, until its bags are read."""
+    pd = PathDecomposition([["v", "u"], ["w", "v"], ["u"]])
+    span, broken = pd._intervals
+    other = PathDecomposition._from_intervals(span, 3, broken)
+    assert broken == {"u": [1, 3]}
+    assert vars(pd).keys() == vars(other).keys() == {"_intervals", "_count"}
+    assert pd.bags == other.bags == (("u", "v"), ("v", "w"), ("u",))
+    assert vars(pd).keys() == vars(other).keys()
+
+
+def test_unhashable_id_fails_the_build():
+    """A bag of lists sorts, but its ids cannot be held, so the build raises
+    the TypeError of an unhashable id."""
+    with pytest.raises(TypeError, match="unhashable"):
+        PathDecomposition([[["a"], ["b"]]])
 
 
 def test_width_of_empty_decomposition_is_error():
@@ -108,10 +146,12 @@ def test_validate_rejects_foreign_vertex():
         tl.validate_decomposition(g, PathDecomposition((("u", "zz"),)))
 
 
-def naive_validate(graph, pd):
-    """Reference validator: rebuilds every bag as a set for every edge."""
+def naive_validate(graph, bags):
+    """Reference validator over a raw bag list, with no PathDecomposition in
+    between: rebuilds every bag as a set for every edge."""
+    bags = [sorted(set(bag)) for bag in bags]
     vset = set(graph.vertices)
-    for i, bag in enumerate(pd.bags):
+    for i, bag in enumerate(bags):
         for v in bag:
             if v not in vset:
                 raise DecompositionError(
@@ -119,7 +159,7 @@ def naive_validate(graph, pd):
                 )
     out = []
     where = {v: [] for v in vset}
-    for i, bag in enumerate(pd.bags):
+    for i, bag in enumerate(bags):
         for v in bag:
             where[v].append(i + 1)
     for v in graph.vertices:
@@ -133,16 +173,18 @@ def naive_validate(graph, pd):
                 tl.Violation("contiguity", vertex=v, indices=(idx[0], gap, idx[-1]))
             )
     for u, v in graph.edges:
-        if not any(u in bag and v in bag for bag in map(set, pd.bags)):
+        if not any(u in bag and v in bag for bag in map(set, bags)):
             out.append(tl.Violation("edge", edge=(u, v)))
     return tuple(out)
 
 
 def _random_case(rng):
-    """A graph of at most 6+6 vertices and a decomposition of up to 6 bags.
-    Every third case is a valid decomposition from a vertex order with
-    adjacent bags merged; the rest are random subsets, which leave vertices
-    uncovered, non-contiguous, or with split edges."""
+    """A graph of at most 6+6 vertices and the raw bag list of a
+    decomposition of up to 6 bags.  Every third case is a valid
+    decomposition from a vertex order with adjacent bags merged, later bag
+    first, so that a merged bag repeats ids out of order; the rest are
+    random subsets, which leave vertices uncovered, non-contiguous, or with
+    split edges."""
     na, nb = rng.randint(0, 6), rng.randint(0, 6)
     a = tuple(f"a{i}" for i in range(na))
     b = tuple(f"b{j}" for j in range(nb))
@@ -155,23 +197,23 @@ def _random_case(rng):
         bags = list(tl.order_to_decomposition(g, verts).bags)
         while len(bags) > 1 and rng.random() < 0.5:
             i = rng.randrange(len(bags) - 1)
-            bags[i : i + 2] = [bags[i] + bags[i + 1]]
+            bags[i : i + 2] = [bags[i + 1] + bags[i]]
     else:
         q = rng.random()
         bags = [
             tuple(v for v in verts if rng.random() < q)
             for _ in range(rng.randint(0, 6))
         ]
-    return g, PathDecomposition(tuple(bags))
+    return g, bags
 
 
 def test_validate_matches_naive_oracle():
     rng = random.Random(20220714)
     kinds = {"cover": 0, "contiguity": 0, "edge": 0, "valid": 0}
     for _ in range(3000):
-        g, pd = _random_case(rng)
-        got = tl.validate_decomposition(g, pd)
-        assert got == naive_validate(g, pd)
+        g, bags = _random_case(rng)
+        got = tl.validate_decomposition(g, PathDecomposition(bags))
+        assert got == naive_validate(g, bags)
         for v in got:
             kinds[v.kind] += 1
         kinds["valid"] += not got
@@ -181,13 +223,13 @@ def test_validate_matches_naive_oracle():
 def test_validate_foreign_vertex_matches_naive_oracle():
     rng = random.Random(7)
     for _ in range(300):
-        g, pd = _random_case(rng)
-        bags = [list(bag) for bag in pd.bags] or [[]]
+        g, bags = _random_case(rng)
+        bags = [list(bag) for bag in bags] or [[]]
         for _ in range(rng.randint(1, 2)):
             bags[rng.randrange(len(bags))].append(f"x{rng.randrange(3)}")
-        pd = PathDecomposition(tuple(tuple(bag) for bag in bags))
+        pd = PathDecomposition(bags)
         with pytest.raises(DecompositionError) as want:
-            naive_validate(g, pd)
+            naive_validate(g, bags)
         with pytest.raises(DecompositionError, match="foreign") as got:
             tl.validate_decomposition(g, pd)
         assert str(got.value) == str(want.value)
@@ -224,7 +266,7 @@ def test_interval_form_reads_as_its_bags(g, data):
     assert as_bags == pd and len(pd.bags) == count
     assert vertices == as_bags.vertices
     assert got == _outcome(tl.validate_decomposition, g, as_bags)
-    assert got == _outcome(naive_validate, g, as_bags)
+    assert got == _outcome(naive_validate, g, pd.bags)
     assert width == (as_bags.width if count else None)
     assert list(tl.intro_intervals(pd).items()) == list(tl.intro_intervals(as_bags).items())
     assert staged == (naive_normalize_unique_intro(as_bags) if span else None)
