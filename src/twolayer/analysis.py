@@ -10,13 +10,19 @@ patience-sorting sweep over that order.
 from __future__ import annotations
 
 import bisect
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import twolayer
 
 from .errors import CapExceededError, GraphError
-from .graphs import DEFAULT_PROFILE_CAP, DEFAULT_ST_EDGE_CAP, Edge, TwoLayerDrawing, _Frozen
+from .graphs import (
+    DEFAULT_PROFILE_CAP,
+    DEFAULT_ST_EDGE_CAP,
+    Edge,
+    TwoLayerDrawing,
+    _cached_property,
+    _Frozen,
+)
 
 
 def _coord_of(drawing: TwoLayerDrawing, e: Edge) -> tuple[int, int]:
@@ -117,7 +123,7 @@ class ChainCover(_Frozen):
     ) -> None:
         vars(self).update(chains=chains, arcs=arcs)
 
-    @cached_property
+    @_cached_property
     def out_map(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {}
         for tail, head in self.arcs.values():

@@ -213,6 +213,9 @@ def decompose_drawing(
         width_bound=bound,
         st_cap=st_cap,
     )
+    # Outside the fields, so equality, hash, repr and JSON do not see it: the
+    # audit of this drawing reads the bag sizes of this build.
+    vars(cert)["_built"] = (drawing, pd)
     return pd, cert
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-from functools import cached_property
 from typing import NamedTuple
 
 from .analysis import check_counting_bound, crossings_per_edge
@@ -27,6 +26,7 @@ from .errors import GraphError
 from .graphs import (
     BipartiteGraph,
     TwoLayerDrawing,
+    _cached_property,
     _dumps,
     _Frozen,
     drawing_from_json,
@@ -140,8 +140,8 @@ class _Trial:
     def __init__(self, drawing: TwoLayerDrawing) -> None:
         self.drawing = drawing
 
-    decomposition = cached_property(lambda self: decompose_drawing(self.drawing))
-    pathwidth = cached_property(
+    decomposition = _cached_property(lambda self: decompose_drawing(self.drawing))
+    pathwidth = _cached_property(
         lambda self: pathwidth_exact(self.drawing.graph, cap=EXACT_VERTEX_CAP)
     )
 
@@ -246,10 +246,13 @@ def _noncrossing_matching_size(drawing: TwoLayerDrawing) -> int:
 
 
 def drop_isolated_a(drawing: TwoLayerDrawing) -> TwoLayerDrawing:
-    """Sub-drawing without degree-0 A-vertices; crossing structure is
-    untouched because removing isolated vertices removes no edges."""
+    """Sub-drawing without degree-0 A-vertices, or the drawing itself if it
+    has none; crossing structure is untouched because removing isolated
+    vertices removes no edges."""
     g = drawing.graph
-    keep = [v for v in g.a if g.degree(v) >= 1]
+    keep = [v for v in g.a if g.neighbors[v]]
+    if len(keep) == len(g.a):
+        return drawing
     graph = BipartiteGraph(tuple(keep), g.b, g.edges)
     kept = set(keep)
     return TwoLayerDrawing(

@@ -13,7 +13,6 @@ callers that use them load; their names here still resolve to it.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, TextIO
@@ -65,13 +64,32 @@ def __getattr__(name: str):
 # core types
 # ===================================================================
 
+class _cached_property:
+    """``functools.cached_property`` without its lock, as in Python 3.12:
+    the first read of the attribute stores ``func(instance)`` in the
+    instance's ``__dict__``, which later reads find first."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = vars(instance)[self.name] = self.func(instance)
+        return value
+
+
 class _Frozen:
     """Base of the package's immutable value types.  A subclass names its
     fields in ``_fields`` and sets them once, in ``__init__``, through
     ``vars(self)``.  Two instances are equal when they have the same class
     and equal fields; hash and repr go by the fields too, and no attribute
     can be set or deleted afterwards.  Instances keep their ``__dict__``,
-    which ``cached_property`` needs."""
+    which ``_cached_property`` needs."""
 
     _fields: tuple[str, ...] = ()
 
@@ -130,15 +148,15 @@ class BipartiteGraph(_Frozen):
             normalized.append(pair)
         vars(self).update(a=a, b=b, edges=tuple(normalized))
 
-    @cached_property
+    @_cached_property
     def a_set(self) -> frozenset[str]:
         return frozenset(self.a)
 
-    @cached_property
+    @_cached_property
     def b_set(self) -> frozenset[str]:
         return frozenset(self.b)
 
-    @cached_property
+    @_cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
@@ -153,7 +171,7 @@ class BipartiteGraph(_Frozen):
             return "B"
         raise GraphError(f"unknown vertex {v!r}")
 
-    @cached_property
+    @_cached_property
     def neighbors(self) -> dict[str, tuple[str, ...]]:
         nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
@@ -187,15 +205,15 @@ class TwoLayerDrawing(_Frozen):
             raise GraphError("order_b is not a permutation of side B")
         vars(self).update(graph=graph, order_a=order_a, order_b=order_b)
 
-    @cached_property
+    @_cached_property
     def pos_a(self) -> dict[str, int]:
         return {v: i + 1 for i, v in enumerate(self.order_a)}
 
-    @cached_property
+    @_cached_property
     def pos_b(self) -> dict[str, int]:
         return {v: i + 1 for i, v in enumerate(self.order_b)}
 
-    @cached_property
+    @_cached_property
     def _by_rank(self) -> tuple[tuple[int, int, Edge], ...]:
         """(posA, posB, edge) for every edge, sorted; (posA, posB) is
         injective on edges, so this order is unambiguous."""
@@ -385,11 +403,18 @@ def _rows(rows: Sequence, sizes: list[int], lengths: set[int], level: int) -> It
     return map(next, map(by_length.__getitem__, sizes))
 
 
-def _load_object(text: str) -> dict:
+def _decode(text: str, error: type[Exception] = GraphError) -> object:
+    """``json.loads(text)``, or ``error("invalid JSON: ...")`` where the
+    decoder fails: a ``JSONDecodeError``, the ``ValueError`` of an integer
+    longer than ``sys.get_int_max_str_digits()``, or nesting too deep."""
     try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise GraphError(f"invalid JSON: {exc}") from None
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid JSON: {exc}") from None
+
+
+def _load_object(text: str) -> dict:
+    data = _decode(text)
     if not isinstance(data, dict):
         raise GraphError("expected a JSON object")
     return data

@@ -10,8 +10,6 @@ vertices cost nothing, while the vertex cap (20 by default) still counts them.
 
 from __future__ import annotations
 
-import json
-from functools import cached_property
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -24,6 +22,8 @@ from .graphs import (
     BipartiteGraph,
     Edge,
     _block,
+    _cached_property,
+    _decode,
     _Frozen,
     _join_or_write,
 )
@@ -48,7 +48,7 @@ class PathDecomposition(_Frozen):
         vars(pd).update(_intervals=(span, broken or {}), _count=count)
         return pd
 
-    @cached_property
+    @_cached_property
     def bags(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self._sweep())
 
@@ -77,7 +77,7 @@ class PathDecomposition(_Frozen):
         return [*((v, run) for v, run in span.items() if v not in broken),
                 *((v, (i, i)) for v, idx in broken.items() for i in idx)]
 
-    @cached_property
+    @_cached_property
     def _sizes(self) -> list[int]:
         """Bag sizes by 1-based index, 0 at either end."""
         delta = [0] * (self._count + 2)
@@ -92,7 +92,7 @@ class PathDecomposition(_Frozen):
             raise DecompositionError("width is undefined for an empty bag list")
         return max(self._sizes) - 1
 
-    @cached_property
+    @_cached_property
     def vertices(self) -> frozenset[str]:
         return frozenset(self._intervals[0])
 
@@ -262,8 +262,4 @@ def decomposition_from_json(text: str) -> PathDecomposition:
     pd = twolayer._reader._read_decomposition(text)
     if pd is not None:
         return pd
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DecompositionError(f"invalid JSON: {exc}") from None
-    return twolayer._reader._decomposition_from_object(data)
+    return twolayer._reader._decomposition_from_object(_decode(text, DecompositionError))

@@ -811,32 +811,57 @@ def test_render_malformed_json_is_exit_1(capsys, tmp_path):
     assert err.startswith("error: invalid JSON")
 
 
-@pytest.mark.parametrize("shape", ["{\"bags\": %s}", "%s"], ids=["object", "array"])
-@pytest.mark.parametrize(
-    "command, flag",
-    [
-        *(("check-pd", f) for f in ("--in", "--graph")),
-        *(("layout", f) for f in ("--in", "--graph")),
-        *((c, "--in") for c in ("render", "analyze", "decompose", "pathwidth")),
-    ],
-)
-def test_deeply_nested_json_is_invalid_json(capsys, tmp_path, command, flag, shape):
-    """JSON nested deeper than the decoder recurses is invalid JSON, exit 1,
-    from the stream reader and from the ``json.loads`` fallback alike."""
-    deep = tmp_path / "deep.json"
-    deep.write_text(shape % ("[" * 200_000 + "]" * 200_000))
+# Every reading command with each of its input flags.
+READING_FLAGS = [
+    *(("check-pd", f) for f in ("--in", "--graph")),
+    *(("layout", f) for f in ("--in", "--graph")),
+    *((c, "--in") for c in ("render", "analyze", "decompose", "pathwidth")),
+]
+
+
+def run_with_input(capsys, tmp_path, command, flag, text):
+    """Run ``command`` with ``text`` as the file of ``flag`` and valid
+    grid_graph(2) inputs for its other flags."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
     g, d = tl.grid_graph(2)
     pd_path = tmp_path / "pd.json"
     pd_path.write_text(tl.decomposition_to_json(tl.decompose_drawing(d)[0]))
     graph_path = tmp_path / "g.json"
     graph_path.write_text(tl.graph_to_json(g))
-    files = {"--in": pd_path, "--graph": graph_path, flag: deep}
+    files = {"--in": pd_path, "--graph": graph_path, flag: bad}
     argv = [command, "--in", str(files["--in"])]
     if command in ("check-pd", "layout"):
         argv += ["--graph", str(files["--graph"])]
-    code, out, err = run(capsys, *argv)
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("shape", ["{\"bags\": %s}", "%s"], ids=["object", "array"])
+@pytest.mark.parametrize("command, flag", READING_FLAGS)
+def test_deeply_nested_json_is_invalid_json(capsys, tmp_path, command, flag, shape):
+    """JSON nested deeper than the decoder recurses is invalid JSON, exit 1,
+    from the stream reader and from the ``json.loads`` fallback alike."""
+    text = shape % ("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_with_input(capsys, tmp_path, command, flag, text)
     assert (code, out) == (1, "")
     assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ['{"bags": [[%s]]}', '{"a": ["a0"], "b": [], "edges": [], "x": %s}', "%s"],
+    ids=["bag", "key", "bare"],
+)
+@pytest.mark.parametrize("command, flag", READING_FLAGS)
+def test_long_json_integer_is_invalid_json(capsys, tmp_path, command, flag, shape):
+    """An integer literal longer than ``sys.get_int_max_str_digits()`` makes
+    the decoder raise a plain ValueError; every reader reports it as invalid
+    JSON, exit 1, from the stream reader and from the fallback alike."""
+    text = shape % ("9" * (sys.get_int_max_str_digits() + 700))
+    code, out, err = run_with_input(capsys, tmp_path, command, flag, text)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid JSON: Exceeds the limit")
     assert err.count("\n") == 1
 
 

@@ -212,6 +212,41 @@ def test_audit_random_sweep_clean():
         assert rep.ok, [v for v in rep.violations]
 
 
+def test_audit_reads_the_bag_sizes_of_decompose_drawing():
+    """decompose_drawing keeps its build on the certificate, outside the
+    fields, so an audit with the same drawing object reads its bag sizes; a
+    field-for-field copy, or an equal drawing that is another object, takes
+    the rebuild.  Both give the same report: on a random corpus, on the
+    star fan and on complete_binary_tree(9), whose default certificates the
+    audit fails while ROADMAP item 1 is open, so violations compare too."""
+    drawings = random_corpus(60, seed=26, max_side=8)
+    drawings += [tl.star_fan_drawing(500)[1], tl.complete_binary_tree(9)[1]]
+    for d in drawings:
+        pd, cert = tl.decompose_drawing(d)
+        copy = _certificate_with(cert)
+        assert vars(cert)["_built"] == (d, pd) and "_built" not in vars(copy)
+        assert (copy, repr(copy)) == (cert, repr(cert))
+        assert tl.certificate_to_json(copy) == tl.certificate_to_json(cert)
+        shared = tl.audit_counting_bounds(d, cert)
+        assert tl.audit_counting_bounds(d, copy) == shared
+        other = tl.drawing_from_json(tl.drawing_to_json(d))
+        assert tl.audit_counting_bounds(other, cert) == shared
+
+
+def test_audit_of_its_own_drawing_rebuilds_nothing(monkeypatch):
+    from twolayer import decompose
+
+    _, d = tl.complete_binary_tree(3)
+    _, cert = tl.decompose_drawing(d)
+    calls = []
+    real = decompose._spans
+    monkeypatch.setattr(decompose, "_spans", lambda *args: calls.append(1) or real(*args))
+    assert tl.audit_counting_bounds(d, cert).ok and calls == []
+    assert tl.audit_counting_bounds(d, _certificate_with(cert)).ok and len(calls) == 1
+    other = tl.drawing_from_json(tl.drawing_to_json(d))
+    assert tl.audit_counting_bounds(other, cert).ok and len(calls) == 2
+
+
 # ------------------------------------------- interval form vs set-based build
 
 def _agrees_with_set_based_build(d, pd, cert):

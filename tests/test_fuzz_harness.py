@@ -17,7 +17,7 @@ from twolayer import (
     fuzz,
 )
 
-from conftest import drawings, record_bag_builds
+from conftest import drawings, random_corpus, record_bag_builds
 
 
 def test_config_validation():
@@ -181,6 +181,27 @@ def test_drop_isolated_a():
     assert out.graph.edges == (("a1", "b1"),)
 
 
+def test_drop_isolated_a_keeps_a_drawing_without_isolated_a_vertices():
+    """With nothing to drop the drawing itself comes back, and otherwise the
+    sub-drawing without the isolated A-vertices; the counting check gives
+    the same verdict and detail on a trial's drawing, on that sub-drawing
+    and on an equal copy of either, and both cases occur."""
+    kept = 0
+    for d in random_corpus(150, seed=26, max_side=6, require_edges=True):
+        g = d.graph
+        a = tuple(v for v in g.a if g.neighbors[v])
+        sub = tl.drop_isolated_a(d)
+        assert sub == TwoLayerDrawing(
+            BipartiteGraph(a, g.b, g.edges), [v for v in d.order_a if v in a], d.order_b
+        )
+        assert (sub is d) == (a == g.a)
+        kept += sub is d
+        copy = tl.drawing_from_json(tl.drawing_to_json(d))
+        results = {fuzz._run_check("counting", fuzz._Trial(x)) for x in (d, sub, copy)}
+        assert len(results) == 1
+    assert 0 < kept < 150
+
+
 @pytest.mark.parametrize(
     "trials, invert, digest",
     [
@@ -195,6 +216,24 @@ def test_report_bytes_are_pinned(trials, invert, digest):
     sharing one decomposition and one exact pathwidth per trial, and
     building certificate JSON only for dumps, must not change them."""
     rep = tl.run_fuzz(FuzzConfig(trials=trials, seed=7, invert_check=invert))
+    assert hashlib.sha256(tl.report_to_json(rep).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (5, "e29199d96972473f964d72e4c35b5d4e2c17f53f95a239b2f02f9c3a51e4a535"),
+        (6, "cc3612b09cbbd741c7694a6576645bd53191d7bc95ff603f82f2126589013d0b"),
+        (7, "89c3e7d9ede9d8dc2c20a925dc5d50c673295fbb5b45f33950ae72cbb5cdab4e"),
+        (8, "5d59cc2f897b733c0242116fc1dfc484cd9fbb055537631d0dabce4417d82b33"),
+        (9, "b2cbf6090894a9d5654b8a1784bedfb6a39682171bc008c3b173ae6c98844482"),
+    ],
+)
+def test_small_exact_sweep_bytes_are_pinned(seed, digest):
+    """The five 600-trial sweeps of perfbench's small-exact workload at
+    seed 1 (fuzz --seed 5..9 --na-max 6 --nb-max 6): sharing each trial's
+    construction with the audit must not change their reports."""
+    rep = tl.run_fuzz(FuzzConfig(600, seed, na_max=6, nb_max=6))
     assert hashlib.sha256(tl.report_to_json(rep).encode()).hexdigest() == digest
 
 

@@ -54,6 +54,52 @@ def test_graph_accessors():
         g.side("zz")
 
 
+def test_cached_property_computes_once_into_the_instance_dict():
+    """The package's cached attributes run their function on the first read
+    alone and keep the value in the instance's ``__dict__``, where later
+    reads find it before the descriptor; frozen instances included."""
+    calls = []
+
+    class Pair(graphs._Frozen):
+        _fields = ("x",)
+
+        def __init__(self, x):
+            vars(self).update(x=x)
+
+        @graphs._cached_property
+        def doubled(self):
+            """Twice x."""
+            calls.append(self)
+            return 2 * self.x
+
+    p = Pair(21)
+    assert "doubled" not in vars(p)
+    assert p.doubled == 42 and p.doubled == 42
+    assert calls == [p] and vars(p)["doubled"] == 42
+    assert Pair(1).doubled == 2 and len(calls) == 2
+    with pytest.raises(AttributeError):
+        p.doubled = 0
+
+
+def test_cached_property_on_the_class_is_the_descriptor():
+    """Read on the class, a cached attribute is its descriptor, whose
+    ``func`` is the undecorated function; conftest.record_bag_builds wraps
+    that of ``PathDecomposition.bags``."""
+    for cls, name in [
+        (tl.PathDecomposition, "bags"),
+        (BipartiteGraph, "neighbors"),
+        (TwoLayerDrawing, "_by_rank"),
+        (tl.ChainCover, "out_map"),
+        (tl.fuzz._Trial, "decomposition"),
+    ]:
+        prop = getattr(cls, name)
+        assert prop is cls.__dict__[name]
+        assert isinstance(prop, graphs._cached_property) and callable(prop.func)
+    assert TwoLayerDrawing._by_rank.__doc__ == TwoLayerDrawing._by_rank.func.__doc__
+    g = BipartiteGraph(("a1",), ("b1",), (("a1", "b1"),))
+    assert BipartiteGraph.neighbors.func(g) == g.neighbors
+
+
 def test_drawing_requires_permutations():
     g = BipartiteGraph(("a1", "a2"), ("b1",), ())
     with pytest.raises(GraphError):

@@ -266,6 +266,25 @@ def test_no_module_touches_the_bytecode_cache(module):
     assert not names & BYTECODE_NAMES
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE_DIR.glob("*.py")))
+def test_no_module_uses_functools_cached_property(module):
+    """Cached attributes go through ``graphs._cached_property``, which takes
+    no lock on a first read, as ``functools.cached_property`` does in Python
+    3.11: no module imports that one or reads it from ``functools``."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "functools"
+            and "cached_property" in {alias.name for alias in node.names}
+        )
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+    ]
+    assert not found
+
+
 # Loaded by `dataclasses` (with `copy`); no command needs them.
 HEAVY = ("ast", "dataclasses", "dis", "inspect", "tokenize")
 
