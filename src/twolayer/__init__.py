@@ -102,9 +102,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 # The bodies that only some commands run.  A public function reaches its body
 # as ``twolayer.<module>.<name>``, which imports the module on first use.
-_PRIVATE = frozenset(
-    {"_checks", "_cover", "_exact", "_random", "_reader", "_staging", "_witness"}
-)
+_PRIVATE = frozenset({"_checks", "_exact", "_random", "_reader", "_witness"})
 
 __all__ = sorted(_MODULE_OF)
 

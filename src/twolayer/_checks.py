@@ -68,12 +68,10 @@ def audit_counting_bounds(
     if n == 0:
         return AuditReport(cert.k, 0, cert.unachievable, (), vacuous=True)
     k = cert.k
-    built, pd = vars(cert).get("_built", (None, None))
-    if built is drawing:  # decompose_drawing's own build, already validated
-        crossed = decompose.crossed_runs(drawing, cert.matching)
-        at = [0, *accumulate(len(ys) + 1 for ys in cert.gaps)]
-    else:
-        crossed, at, pd, _ = decompose._spans(drawing, cert.matching, cert.gaps, cert.cover)
+    built, build = vars(cert).get("_built", (None, None))
+    if built is not drawing:  # else decompose_drawing's own build, validated
+        build = decompose._spans(drawing, cert.matching, cert.gaps, cert.cover)
+    crossed, at, pd, _ = build
     sizes = pd._sizes  # |V_i| = sizes[at[i]], |V_(i,j)| = sizes[at[i] + j]
     violations: list[AuditViolation] = []
 

@@ -142,7 +142,7 @@ def min_chain_cover(drawing: TwoLayerDrawing) -> ChainCover:
     pile.  Pile tops stay sorted, and the pile count matches the maximum
     antichain, so the cover is minimum.
     """
-    return twolayer._cover.min_chain_cover(drawing)
+    return twolayer.decompose._min_chain_cover(drawing)
 
 
 # ===================================================================
@@ -161,7 +161,7 @@ def maximal_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:
     matching edge, and so could be added, iff both ends fall in the same gap
     between consecutive matching edges: two bisects per such edge.
     """
-    return twolayer._cover.maximal_noncrossing_matching(drawing)
+    return twolayer.decompose._maximal_noncrossing_matching(drawing)
 
 
 def crossed_runs(
@@ -175,7 +175,7 @@ def crossed_runs(
     edge at ranks (a, b) iff a_i < a and b_i > b, or a_i > a and b_i < b:
     two index intervals of the rising rank lists, at most one non-empty.
     """
-    return twolayer._cover.crossed_runs(drawing, matching)
+    return twolayer.decompose._crossed_runs(drawing, matching)
 
 
 def maximum_noncrossing_matching(drawing: TwoLayerDrawing) -> tuple[Edge, ...]:

@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except TwoLayerError as exc:
+    except (TwoLayerError, UnicodeEncodeError) as exc:  # an id the output cannot encode
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -34,24 +34,10 @@ DEFAULT_ST_EDGE_CAP = 5_000  # analysis: edges in an (s,t) search
 DEFAULT_PROFILE_CAP = 16  # analysis: s and t of the (s,t) profile
 DEFAULT_PATHWIDTH_CAP = 20  # pathdecomp: vertices for exact pathwidth
 
-# Names defined in generators.py, reachable here through __getattr__.
-_GENERATOR_NAMES = frozenset(
-    {
-        "bipartition_from_edges",
-        "caterpillar_layout",
-        "complete_binary_tree",
-        "connected_components",
-        "grid_graph",
-        "is_caterpillar",
-        "is_connected",
-        "star_fan_drawing",
-        "subdivided_star",
-    }
-)
 
-
+# The names defined in generators.py, reachable here through __getattr__.
 def __getattr__(name: str):
-    if name not in _GENERATOR_NAMES:
+    if name not in twolayer._EXPORTS["generators"]:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import generators
 

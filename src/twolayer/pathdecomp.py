@@ -222,7 +222,7 @@ def normalize_unique_intro(pd: PathDecomposition) -> PathDecomposition:
     is the bag itself.  Only contiguity can be checked without the host
     graph; callers wanting full validity run validate_decomposition first.
     """
-    return twolayer._staging._staged_bags(pd, twolayer._staging._staged_first_bags(pd))
+    return twolayer.layout._staged_bags(pd, twolayer.layout._staged_first_bags(pd))
 
 
 # ===================================================================

@@ -6,11 +6,15 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twolayer as tl
 from twolayer import _reader, cli
@@ -901,3 +905,179 @@ def test_fuzz_rejects_empty_ranges_as_usage_error(capsys, flags):
     assert code == 2
     assert out == "" and err.startswith("error: ")
 
+
+
+# --------------------------------------- ids that the output cannot encode
+
+SURROGATE_DRAWING = (
+    '{"a": ["\\ud800"], "b": ["b"], "edges": [["\\ud800", "b"]], '
+    '"orderA": ["\\ud800"], "orderB": ["b"]}'
+)
+
+
+def byte_stream(encoding: str = "utf-8", errors: str = "strict") -> io.TextIOWrapper:
+    """A text stream over bytes, as sys.stdout is: unlike a StringIO, it
+    cannot take a lone surrogate."""
+    return io.TextIOWrapper(io.BytesIO(), encoding=encoding, errors=errors)
+
+
+@pytest.mark.parametrize("payload", ["drawing", "pd.json"])
+@pytest.mark.parametrize("sink", ["file", "stdout"])
+def test_render_of_an_id_its_output_cannot_encode_is_exit_1(
+    capsys, monkeypatch, tmp_path, payload, sink
+):
+    """decompose and analyze escape a lone surrogate in an id, but SVG text
+    is written as it is: render exits 1 with an error line, and removes the
+    partial --out file."""
+    drawing = tmp_path / "d.json"
+    drawing.write_text(SURROGATE_DRAWING)
+    pd = tmp_path / "pd.json"
+    assert run(capsys, "decompose", "--in", str(drawing), "--out", str(pd))[0] == 0
+    assert run(capsys, "analyze", "--in", str(drawing))[0] == 0
+    source = drawing if payload == "drawing" else pd
+    out = tmp_path / "x.svg"
+    argv = ["render", "--in", str(source)] + (["--out", str(out)] if sink == "file" else [])
+    monkeypatch.setattr(sys, "stdout", byte_stream())
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_render_to_an_ascii_stdout_is_exit_1(capsys, monkeypatch, tmp_path):
+    """An id that the encoding of stdout lacks, as under PYTHONIOENCODING=ascii."""
+    drawing = tmp_path / "d.json"
+    drawing.write_text(SURROGATE_DRAWING.replace("\\ud800", "\\u00e9"))
+    monkeypatch.setattr(sys, "stdout", byte_stream("ascii"))
+    code, _, err = run(capsys, "render", "--in", str(drawing))
+    assert code == 1
+    assert err.startswith("error: 'ascii' codec can't encode character '\\xe9'")
+    assert err.count("\n") == 1
+
+
+# ------------------------------------------------- the CLI contract as a property
+
+# Every reading command and input flag, with the document that flag takes.
+CONTRACT_TARGETS = [
+    ("decompose", "--in", "drawing"),
+    ("analyze", "--in", "drawing"),
+    ("render", "--in", "drawing"),
+    ("render", "--in", "pd"),
+    ("check-pd", "--in", "pd"),
+    ("check-pd", "--graph", "graph"),
+    ("layout", "--in", "pd"),
+    ("layout", "--in", "pw"),
+    ("layout", "--graph", "graph"),
+    ("pathwidth", "--in", "graph"),
+]
+# JSON values put in place of an id or a string: lone surrogates, a non-ASCII
+# id, ids that are not str, NaN and the infinities, an integer of 5,000
+# digits, and nesting shallow and too deep to decode.
+TOKENS = [
+    '"\\ud800"', '"x\\udc00"', '"\u00e9"', '""', "1", "-2.5e400", "null", "true",
+    "{}", "[]", "NaN", "Infinity", "-Infinity", "9" * 5000, "[" * 5 + "]" * 5,
+    "[" * 50_000 + "]" * 50_000,
+]
+# Bytes that are not UTF-8, or that a reader may not expect: a lone lead
+# byte, a stray continuation byte, an encoded surrogate, NUL and a BOM.
+RAW_BYTES = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\x00", b"\xef\xbb\xbf"]
+MUTATIONS = st.one_of(
+    *(
+        st.tuples(st.just(kind), st.integers(0, 99), st.sampled_from(TOKENS))
+        for kind in ("rename", "replace", "duplicate")
+    ),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(RAW_BYTES)),
+    st.tuples(
+        st.just("encode"), st.just(0), st.sampled_from(["utf-8-sig", "utf-16", "utf-16-le"])
+    ),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.just(b"")),
+    st.tuples(st.just("cut64k"), st.integers(-64, 64), st.just(b"")),
+)
+SURROGATE_RENAME = ("rename", 0, '"\\ud800"')
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """Valid documents of complete_binary_tree(2), each written by the
+    command that writes it, and a pd.json of over 64 KiB."""
+    path = tmp_path_factory.mktemp("contract")
+    graph, drawing = tl.complete_binary_tree(2)
+    (path / "drawing").write_text(tl.drawing_to_json(drawing))
+    (path / "graph").write_text(tl.graph_to_json(graph))
+    for command, source, name in (("decompose", "drawing", "pd"), ("pathwidth", "graph", "pw")):
+        assert main([command, "--in", str(path / source), "--out", str(path / name)]) == 0
+    wide = tl.PathDecomposition(tuple((f"v{i}", f"v{i + 1}") for i in range(2500)))
+    (path / "big").write_text(tl.decomposition_to_json(wide))
+    assert (path / "big").stat().st_size > 1 << 16
+    return path
+
+
+def mutate(text: str, big: bytes, mutation: tuple) -> bytes:
+    """The bytes of ``text`` changed as ``mutation`` says: (kind, where, what)."""
+    kind, where, what = mutation
+    strings = list(re.finditer(r'("[^"]*")(\s*:)?', text))  # no id or key holds a quote
+    ids = sorted({m[1] for m in strings if not m[2]})
+    keys = [m[1] for m in strings if m[2]]
+    if kind == "rename":  # every occurrence of one id, so the document stays whole
+        return text.replace(ids[where % len(ids)], what).encode()
+    if kind == "replace":  # one string, a key or an id
+        at = strings[where % len(strings)]
+        return (text[: at.start(1)] + what + text[at.end(1):]).encode()
+    if kind == "duplicate":  # a key again, before the first key or after the last
+        entry = f"{keys[where % len(keys)]}: {what}"
+        if where % 2:
+            return (text[:1] + entry + ", " + text[1:]).encode()
+        return (text.rstrip()[:-1] + ", " + entry + "}").encode()
+    data = text.encode()
+    if kind == "insert":
+        at = where % (len(data) + 1)
+        return data[:at] + what + data[at:]
+    if kind == "encode":
+        return text.encode(what)
+    if kind == "truncate":
+        return data[: where % len(data)]
+    return big[: (1 << 16) + where]  # "cut64k": a bag cut at the reader's first refill
+
+
+@pytest.mark.parametrize("command, flag, kind", CONTRACT_TARGETS)
+@given(mutation=MUTATIONS, source=st.sampled_from(["file", "stdin"]),
+       sink=st.sampled_from(["file", "stdout"]))
+@example(mutation=SURROGATE_RENAME, source="file", sink="stdout")
+@example(mutation=SURROGATE_RENAME, source="stdin", sink="file")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_cli_contract_holds_for_mutated_inputs(
+    contract_dir, command, flag, kind, mutation, source, sink
+):
+    """Whatever the bytes of one input, a command exits 0, 1, 2 or 3 and
+    raises nothing, and a failure ends stderr with an ``error:`` or
+    ``usage:`` line; check-pd may instead report ``"ok": false``.  stdin and
+    stdout are streams of UTF-8 bytes, as in a process."""
+    text = (contract_dir / kind).read_text()
+    data = mutate(text, (contract_dir / "big").read_bytes(), mutation)
+    mutated = contract_dir / "mutated"
+    mutated.write_bytes(data)
+    paths = {"--in": contract_dir / "pd", "--graph": contract_dir / "graph"}
+    paths[flag] = mutated if source == "file" else "-"
+    argv = [command, "--in", str(paths["--in"])]
+    if command in ("check-pd", "layout"):
+        argv += ["--graph", str(paths["--graph"])]
+    out_path = contract_dir / "out"
+    out_path.unlink(missing_ok=True)
+    if sink == "file":
+        argv += ["--out", str(out_path)]
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    stdout, stderr = byte_stream(), byte_stream(errors="backslashreplace")
+    with mock.patch.multiple(sys, stdin=stdin, stdout=stdout, stderr=stderr):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        return
+    stdout.flush()
+    stderr.flush()
+    err = stderr.buffer.getvalue().decode()
+    if command == "check-pd" and code == 1 and not err:
+        out = out_path.read_text() if sink == "file" else stdout.buffer.getvalue().decode()
+        assert json.loads(out)["ok"] is False
+    else:
+        assert (err.splitlines() or [""])[-1].startswith(("error:", "usage:")), err

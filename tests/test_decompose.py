@@ -166,8 +166,9 @@ def test_audit_tree_certificate():
 
 
 def test_audit_finds_the_crossed_runs_once(monkeypatch):
-    """The audit reads the runs the bag builder found; it does not find
-    them again on the same matching."""
+    """The audit of the certificate's own drawing reads the runs that
+    decompose_drawing found, and the audit of an equal drawing that is
+    another object finds them once, in its one rebuild."""
     from twolayer import decompose
 
     _, d = tl.complete_binary_tree(3)
@@ -178,6 +179,10 @@ def test_audit_finds_the_crossed_runs_once(monkeypatch):
         decompose, "crossed_runs", lambda *args: calls.append(1) or real(*args)
     )
     assert tl.audit_counting_bounds(d, cert).ok
+    assert len(calls) == 0
+    other = tl.drawing_from_json(tl.drawing_to_json(d))
+    assert other == d and other is not d
+    assert tl.audit_counting_bounds(other, cert).ok
     assert len(calls) == 1
 
 
@@ -213,8 +218,9 @@ def test_audit_random_sweep_clean():
 
 
 def test_audit_reads_the_bag_sizes_of_decompose_drawing():
-    """decompose_drawing keeps its build on the certificate, outside the
-    fields, so an audit with the same drawing object reads its bag sizes; a
+    """decompose_drawing keeps its whole build (crossed runs, bag offsets,
+    decomposition and tags) on the certificate, outside the fields, so an
+    audit with the same drawing object reads its runs and bag sizes; a
     field-for-field copy, or an equal drawing that is another object, takes
     the rebuild.  Both give the same report: on a random corpus, on the
     star fan and on complete_binary_tree(9), whose default certificates the
@@ -224,7 +230,10 @@ def test_audit_reads_the_bag_sizes_of_decompose_drawing():
     for d in drawings:
         pd, cert = tl.decompose_drawing(d)
         copy = _certificate_with(cert)
-        assert vars(cert)["_built"] == (d, pd) and "_built" not in vars(copy)
+        built, (runs, at, kept, tags) = vars(cert)["_built"]
+        assert built is d and kept is pd and "_built" not in vars(copy)
+        assert runs == tl.crossed_runs(d, cert.matching) and at[-1] == pd._count + 1
+        assert tuple(tags) == cert.per_bag
         assert (copy, repr(copy)) == (cert, repr(cert))
         assert tl.certificate_to_json(copy) == tl.certificate_to_json(cert)
         shared = tl.audit_counting_bounds(d, cert)

@@ -69,7 +69,7 @@ def test_layout_checks_contiguity_once(monkeypatch):
     intervals, which the one interval pass gave when the input was built:
     layout runs no pass, and neither builds nor scans a staged
     decomposition."""
-    from twolayer import _staging, layout, pathdecomp
+    from twolayer import layout, pathdecomp
 
     g, _ = tl.grid_graph(3)
     _, pd = _exact_pd(g)
@@ -87,7 +87,6 @@ def test_layout_checks_contiguity_once(monkeypatch):
     for module, name in (
         (pathdecomp, "normalize_unique_intro"),
         (pathdecomp, "intro_intervals"),
-        (_staging, "_staged_bags"),
         (layout, "_staged_bags"),
     ):
         monkeypatch.setattr(module, name, staged_decomposition)
